@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statevector import (
+    H_MATRIX,
     ConfigurationError,
     StateVector,
     apply_cnot_batch,
@@ -87,8 +88,6 @@ def apply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None:
     if gate.kind in ROTATION_KINDS:
         apply_rotation_batch(amps, n, gate.qubits[0], gate.kind[1], _resolve_angle(gate, bindings, shift))
     elif gate.kind == "H":
-        from .statevector import H_MATRIX
-
         apply_matrix_batch(amps, n, gate.qubits[0], H_MATRIX)
     elif gate.kind == "CNOT":
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])
@@ -103,8 +102,6 @@ def unapply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None
         angle = _resolve_angle(gate, bindings, shift)
         apply_rotation_batch(amps, n, gate.qubits[0], gate.kind[1], -np.asarray(angle))
     elif gate.kind == "H":
-        from .statevector import H_MATRIX
-
         apply_matrix_batch(amps, n, gate.qubits[0], H_MATRIX)
     elif gate.kind == "CNOT":
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])

@@ -363,7 +363,8 @@ def cmd_count(args) -> int:
         print(f"  {config.epochs} epochs: {per_epoch * config.epochs}")
     elif config.variant == "to":
         d = len(observable_set(config))
-        enc = {dim: [0] * (config.n_qubits // problem.dimension) for dim in range(problem.dimension)}
+        circuit = models.encoding_circuit(config.n_qubits, problem.dimension, config.ub_seed)
+        enc = models._enc_by_dim(circuit, problem.dimension)
         total = 0
         for mode in problem.all_modes:
             total += problem.eval_points.shape[0] * models.runs_per_point(enc, mode)

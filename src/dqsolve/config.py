@@ -138,11 +138,6 @@ def load_config(path) -> RunConfig:
         return config_from_text(fh.read())
 
 
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_text(config))
-
-
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     """Return a copy with the given fields replaced (command-line flags win)."""
     unknown = set(overrides) - set(_FIELDS)

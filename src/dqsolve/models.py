@@ -20,7 +20,7 @@ according to how the classical simulation happens to be organized.
 
 from __future__ import annotations
 
-import io
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, run_batch
-from .statevector import pauli_expectation_batch
+from .statevector import StateVector, pauli_action, pauli_expectation_batch, pauli_tables
 
 SHIFT = np.pi / 2.0
 
@@ -182,6 +182,36 @@ def _combine_over_mode(circuit, enc_by_dim, mode, evaluate):
     raise ValueError(f"unsupported mode {mode}")
 
 
+class Readout:
+    """The distinct Pauli strings of a list of ObservableSum, stacked so that
+    one ``pauli_expectation_batch`` call reads all of them, and the weights
+    that sum them back into the observables."""
+
+    def __init__(self, observables):
+        columns: dict[str, int] = {}
+        self.terms = [
+            [(coef, columns.setdefault(pstring.letters, len(columns))) for coef, pstring in obs.terms]
+            for obs in observables
+        ]
+        # every observable a unit-weight string of its own (the TO case):
+        # observable j is column j as measured
+        self.direct = all(terms == [(1.0, j)] for j, terms in enumerate(self.terms))
+        self.tables = pauli_tables(list(columns))
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        """Expectations of every observable on every row; shape (len(observables), batch)."""
+        vals = pauli_expectation_batch(amps, self.tables)  # (batch, distinct strings)
+        if self.direct:
+            return vals.T
+        rows = []
+        for terms in self.terms:
+            total = np.zeros(amps.shape[0])
+            for coef, column in terms:
+                total += coef * vals[:, column]
+            rows.append(total)
+        return np.stack(rows, axis=0)
+
+
 def mode_expectations(
     circuit: CircuitSpec,
     bindings: dict,
@@ -193,19 +223,18 @@ def mode_expectations(
 ) -> np.ndarray:
     """Expectations (or their input derivatives) for a list of ObservableSum.
 
+    ``observables`` may also be a ``Readout`` built from such a list, so that
+    callers evaluating several modes stack the Pauli tables once.  Each shift
+    configuration is simulated as one batch and all its distinct strings are
+    read in one pass; what the protocol is charged does not depend on this.
+
     Returns shape (len(observables), batch).
     """
     base = base_shifts or {}
+    readout = observables if isinstance(observables, Readout) else Readout(observables)
 
     def evaluate(shifts):
-        amps = run_batch(circuit, bindings, batch, shifts=_merge_shifts(base, shifts))
-        rows = []
-        for obs in observables:
-            total = np.zeros(batch)
-            for coef, pstring in obs.terms:
-                total += coef * pauli_expectation_batch(amps, pstring.letters)
-            rows.append(total)
-        return np.stack(rows, axis=0)
+        return readout(run_batch(circuit, bindings, batch, shifts=_merge_shifts(base, shifts)))
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
@@ -216,8 +245,6 @@ def adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices):
     Numerically identical to the parameter-shift rule (both are exact for
     Pauli rotations); returns shape (len(gate_indices), batch).
     """
-    from .statevector import pauli_action
-
     n = circuit.n_qubits
     amps = run_batch(circuit, bindings, batch, shifts=shifts)
     lam = np.zeros_like(amps)
@@ -395,6 +422,12 @@ class TOTable:
     entries: dict                         # mode -> (n_pts, d) array
     provenance: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def readout(self) -> Readout:
+        """Stacked readout of ``labels`` for off-table inference; built on first
+        use, unless ``precompute_to_table`` handed over the one it measured with."""
+        return Readout([pauli.ObservableSum([(1.0, pauli.PauliString(s))]) for s in self.labels])
+
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
@@ -425,22 +458,25 @@ def precompute_to_table(
     """Measure every (mode, point, observable) entry once, before training.
 
     Charges d * n_points * runs_per_point(mode) per mode, the full pre-training
-    quantum cost of the trainable-observable protocol.
+    quantum cost of the trainable-observable protocol: the protocol measures
+    each string separately.  The simulator stacks the d strings' Pauli tables
+    once for all modes and reads all of them in one pass per shift
+    configuration.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]
     circuit = encoding_circuit(n_qubits, dimension, ub_seed)
     enc = _enc_by_dim(circuit, dimension)
-    observables = [pauli.ObservableSum([(1.0, p)]) for p in observable_strings]
+    readout = Readout([pauli.ObservableSum([(1.0, p)]) for p in observable_strings])
     labels = tuple(p.letters for p in observable_strings)
     bindings = _input_bindings(points)
     entries = {}
     for mode in modes:
         mode = tuple(mode)
-        table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, observables)
+        table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, readout)
         entries[mode] = table.T.copy()  # (n_pts, d)
         _charge(counter, len(labels) * points.shape[0] * runs_per_point(enc, mode), PHASE_PRECOMPUTE)
-    return TOTable(
+    to_table = TOTable(
         points=points,
         modes=tuple(tuple(m) for m in modes),
         labels=labels,
@@ -452,6 +488,8 @@ def precompute_to_table(
             "circuit": json.loads(circuits.circuit_to_json(circuit)),
         },
     )
+    vars(to_table)["readout"] = readout  # seeds the cached property
+    return to_table
 
 
 def save_to_table(table: TOTable, path) -> None:
@@ -525,9 +563,8 @@ class TOModel:
         prov = self.table.provenance
         circuit = circuits.circuit_from_json(json.dumps(prov["circuit"]))
         enc = _enc_by_dim(circuit, self.dimension)
-        observables = [pauli.ObservableSum([(1.0, pauli.PauliString(s))]) for s in self.table.labels]
         rows = mode_expectations(
-            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), observables
+            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.readout
         ).T
         _charge(
             self.counter,
@@ -584,6 +621,8 @@ class FlippedModel:
         self.pauli_set = pauli.enumerate_k_local(n_qubits, 1)
         self.n_basis = len(self.pauli_set)
         self.n_batches = shadows.default_batches(self.n_basis)
+        # exact mode reads every string of the set in one pass per epoch
+        self._tables = pauli_tables([p.letters for p in self.pauli_set]) if mode == "exact" else None
         self.counter = counter
         self._exps: dict = {}
 
@@ -623,9 +662,7 @@ class FlippedModel:
                     shift_arrays.setdefault(g, np.zeros(batch))[row] = s
             bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
             amps = run_batch(self.circuit, bindings, batch, shifts=shift_arrays)
-            table = np.stack(
-                [pauli_expectation_batch(amps, p.letters) for p in self.pauli_set], axis=1
-            )  # (batch, n_basis)
+            table = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
             for row, key in enumerate(keys):
                 self._exps[key] = table[row]
         else:
@@ -637,8 +674,6 @@ class FlippedModel:
                     shifts = {gate: sign * SHIFT}
                 bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
                 amps = run_batch(self.circuit, bindings, 1, shifts=shifts)
-                from .statevector import StateVector
-
                 state = StateVector(self.n_qubits, amps[0])
                 shadow = shadows.collect(state, self.snapshots, rng)
                 self._exps[key] = np.array(

@@ -371,18 +371,3 @@ def mos(problem: DEProblem, trial_models, params_list) -> float:
         else:
             F[(fn, ())] = model.values(params, np.arange(problem.grid.size), ())
     return mos_from_values(problem, F)
-
-
-def squared_error_field(problem: DEProblem, trial_models, params_list, fn: int = 0):
-    """Per-point squared error over the grid, for error-surface exports."""
-    if problem.analytic is None:
-        raise ValueError("no reference solution")
-    model, params = trial_models[fn], params_list[fn]
-    counter = getattr(model, "counter", None)
-    if counter is not None:
-        with counter.paused():
-            vals = model.values(params, np.arange(problem.grid.size), ())
-    else:
-        vals = model.values(params, np.arange(problem.grid.size), ())
-    ref = problem.analytic[fn](problem.grid.points)
-    return (vals - ref) ** 2

@@ -132,15 +132,6 @@ def apply_cnot_batch(amps, n, control, target):
     view[tuple(sel1)] = np.flip(block, axis=t_axis)
 
 
-def apply_gate(state: StateVector, gate) -> StateVector:
-    """Apply one GateSpec (from dqsolve.circuits) with constant bindings."""
-    from . import circuits  # local import to avoid a cycle at module load
-
-    amps = state.amplitudes[None, :].copy()
-    circuits.apply_gate_to_batch(amps, state.n_qubits, gate, bindings={})
-    return StateVector(state.n_qubits, amps[0])
-
-
 def pauli_action(letters: str):
     """Return (index_map, coefficients) so that (P psi)[i] = coef[i] * psi[index_map[i]].
 
@@ -168,13 +159,45 @@ def pauli_action(letters: str):
     return src, coef
 
 
-def pauli_expectation_batch(amps: np.ndarray, letters: str) -> np.ndarray:
-    """<psi|P|psi> for every row; returns a real array of shape (batch,)."""
-    src, coef = pauli_action(letters)
-    vals = np.einsum("bi,bi->b", np.conj(amps), coef[None, :] * amps[:, src])
+def pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
+    """``pauli_action`` of every label, stacked into (src, coef) arrays of shape (d, 2**n)."""
+    actions = [pauli_action(letters) for letters in labels]
+    return np.stack([src for src, _ in actions]), np.stack([coef for _, coef in actions])
+
+
+# Complex elements gathered at once by the stacked readout; bounds its
+# temporaries, and so the peak memory, to a few hundred kB per chunk.
+_READOUT_CHUNK = 1 << 14
+
+
+def _real(vals: np.ndarray) -> np.ndarray:
     if np.any(np.abs(vals.imag) > 1e-10):
         raise AssertionError("Pauli expectation acquired an imaginary part")
     return vals.real
+
+
+def pauli_expectation_batch(amps: np.ndarray, letters) -> np.ndarray:
+    """<psi|P|psi> for every row.
+
+    ``letters`` is either one Pauli string, giving a real array of shape
+    (batch,), or the ``pauli_tables`` of d strings, giving a real array of
+    shape (batch, d) that reads all of them in one pass.  Both forms contract
+    each string the same way, so their values are bit-identical.  The (batch,
+    d) result is a transposed view of a string-major array, the layout a
+    per-string loop stacked on axis 0 would give.
+    """
+    if isinstance(letters, str):
+        src, coef = pauli_action(letters)
+        return _real(np.einsum("bi,bi->b", np.conj(amps), coef[None, :] * amps[:, src]))
+    src, coef = letters
+    out = np.empty((src.shape[0], amps.shape[0]))
+    conj = np.conj(amps)
+    step = max(1, _READOUT_CHUNK // amps.size)
+    for lo in range(0, src.shape[0], step):
+        part = slice(lo, lo + step)
+        gathered = coef[None, part] * amps[:, src[part]]  # (batch, chunk, 2**n)
+        out[part] = _real(np.einsum("bi,bci->bc", conj, gathered)).T
+    return out.T
 
 
 def expectation(state: StateVector, obs) -> float:

@@ -288,20 +288,5 @@ def expected_original_epoch_charge(problem, model, fn: int = 0) -> int:
     return total
 
 
-def expected_to_precompute_charge(problem, n_observables: int, n_enc_by_dim) -> int:
-    """d * n_table_points * sum over modes of E(mode)."""
-    n_pts = problem.eval_points.shape[0]
-    total = 0
-    for mode in problem.all_modes:
-        if len(mode) == 0:
-            runs = 1
-        elif len(mode) == 1:
-            runs = 2 * n_enc_by_dim[mode[0]]
-        else:
-            runs = 4 * n_enc_by_dim[mode[0]] * n_enc_by_dim[mode[1]]
-        total += runs
-    return n_observables * n_pts * total
-
-
 def expected_fs_epoch_charge(model) -> int:
     return (1 + 2 * len(model.rotation_params)) * model.snapshots

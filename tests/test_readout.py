@@ -1,0 +1,143 @@
+"""The stacked Pauli readout against the per-string loop it replaces."""
+
+import numpy as np
+import pytest
+
+from dqsolve import models, pauli, statevector
+from dqsolve.statevector import pauli_expectation_batch, pauli_tables
+from dqsolve.training import EvalCounter
+
+POINTS = np.linspace(0.05, 0.95, 7)[:, None]
+MODES = [(), (0,), (0, 0)]
+
+
+def _random_states(rng, batch, n):
+    amps = rng.normal(size=(batch, 2**n)) + 1j * rng.normal(size=(batch, 2**n))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _per_string(amps, labels):
+    return np.stack([pauli_expectation_batch(amps, s) for s in labels], axis=1)
+
+
+STRING_SETS = [pauli.all_strings(n) for n in range(1, 6)] + [pauli.enumerate_k_local(6, 2)]
+
+
+@pytest.mark.parametrize("batch", [1, 22, 200])
+@pytest.mark.parametrize("strings", STRING_SETS, ids=lambda s: f"n{s[0].n_qubits}-d{len(s)}")
+def test_stacked_readout_equals_per_string(strings, batch):
+    labels = [p.letters for p in strings]
+    n = strings[0].n_qubits
+    amps = _random_states(np.random.default_rng(batch * 10 + n), batch, n)
+    got = pauli_expectation_batch(amps, pauli_tables(labels))
+    assert got.shape == (batch, len(labels)) and got.dtype == np.float64
+    assert np.array_equal(got, _per_string(amps, labels))
+
+
+def test_stacked_readout_covers_a_ragged_last_chunk():
+    # 1024 strings at 22 x 32 amplitudes: chunks of 23 strings, 12 left over
+    amps = _random_states(np.random.default_rng(5), 22, 5)
+    labels = [p.letters for p in pauli.all_strings(5)]
+    step = statevector._READOUT_CHUNK // amps.size
+    assert 1 < step < len(labels) and len(labels) % step
+    assert np.array_equal(pauli_expectation_batch(amps, pauli_tables(labels)), _per_string(amps, labels))
+
+
+def test_mode_expectations_sum_terms_in_order():
+    # multi-term sums (the original model's total Z), a unit string and a
+    # string shared between observables all read off one stacked call
+    n = 3
+    circuit = models.encoding_circuit(n, 1)
+    enc = models._enc_by_dim(circuit, 1)
+    observables = [
+        pauli.sum_of_z(n),
+        pauli.ObservableSum([(1.0, pauli.PauliString("XYZ"))]),
+        pauli.ObservableSum([(0.5, pauli.PauliString("ZII")), (-2.0, pauli.PauliString("IXY"))]),
+    ]
+    bindings = {"x0": POINTS[:, 0]}
+    for mode in MODES:
+        got = models.mode_expectations(circuit, bindings, len(POINTS), enc, mode, observables)
+
+        def evaluate(shifts):
+            amps = models.run_batch(circuit, bindings, len(POINTS), shifts=shifts)
+            rows = []
+            for obs in observables:
+                total = np.zeros(len(POINTS))
+                for coef, pstring in obs.terms:
+                    total += coef * pauli_expectation_batch(amps, pstring.letters)
+                rows.append(total)
+            return np.stack(rows, axis=0)
+
+        assert np.array_equal(got, models._combine_over_mode(circuit, enc, mode, evaluate))
+
+
+def test_to_table_equals_per_string_reference():
+    n = 3
+    strings = pauli.all_strings(n)
+    counter = EvalCounter()
+    table = models.precompute_to_table(POINTS, MODES, strings, n, counter=counter)
+    circuit = models.encoding_circuit(n, 1)
+    enc = models._enc_by_dim(circuit, 1)
+
+    def per_string(points, mode):
+        bindings = {"x0": points[:, 0]}
+
+        def evaluate(shifts):
+            amps = models.run_batch(circuit, bindings, len(points), shifts=shifts)
+            return np.stack([pauli_expectation_batch(amps, p.letters) for p in strings], axis=0)
+
+        return models._combine_over_mode(circuit, enc, mode, evaluate).T  # (n_pts, d)
+
+    for mode in MODES:
+        assert np.array_equal(table.entries[mode], per_string(POINTS, mode))
+    # d * n_points * E(mode) with E = 1, 2n, 4n**2 for n encoding gates
+    expected = len(strings) * len(POINTS) * (1 + 2 * n + 4 * n**2)
+    assert counter.snapshot() == {
+        "precompute": expected, "per_epoch": 0, "inference": 0, "total": expected,
+    }
+
+    # off-table inference reads through the same tables, and its product with
+    # alpha sees the per-string loop's memory layout, so it is exact too
+    model = models.TOModel(table)
+    params = model.init_params(np.random.default_rng(0))
+    dense = np.linspace(0.0, 1.0, 11)[:, None]
+    for mode in MODES:
+        reference = params[-1] * (per_string(dense, mode) @ params[:-1])
+        assert np.array_equal(model.values_at(params, dense, mode), reference)
+
+
+@pytest.fixture
+def action_calls(monkeypatch):
+    calls = []
+    original = statevector.pauli_action
+
+    def counted(letters):
+        calls.append(letters)
+        return original(letters)
+
+    monkeypatch.setattr(statevector, "pauli_action", counted)
+    return calls
+
+
+def test_pauli_tables_built_once_per_table(action_calls, tmp_path):
+    strings = pauli.enumerate_k_local(4, 2)
+    d = len(strings)
+    table = models.precompute_to_table(POINTS, MODES, strings, 4)
+    assert len(action_calls) == d
+    model = models.TOModel(table)
+    params = model.init_params(np.random.default_rng(0))
+    dense = np.linspace(0.0, 1.0, 11)
+    model.values_at(params, dense)
+    model.values_at(params, dense, mode=(0,))
+    assert len(action_calls) == d
+
+    # a table read back from disk builds its readout on first use, once,
+    # however many models share it
+    path = tmp_path / "table.npz"
+    models.save_to_table(table, path)
+    loaded = models.load_to_table(path)
+    assert len(action_calls) == d
+    first, second = models.TOModel(loaded), models.TOModel(loaded)
+    assert np.array_equal(first.values_at(params, dense), model.values_at(params, dense))
+    second.values_at(params, dense)
+    assert len(action_calls) == 2 * d
