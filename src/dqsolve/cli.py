@@ -357,7 +357,7 @@ def cmd_count(args) -> int:
     for phase, rule in policy.items():
         print(f"  {phase}: {rule}")
     if config.variant == "original":
-        model = models.OriginalModel(config.n_qubits, config.depth, problem.eval_points)
+        model = build_models(config, problem, None)[0]
         per_epoch = training.expected_original_epoch_charge(problem, model)
         print(f"  per-epoch charge at m={problem.grid.size}: {per_epoch}")
         print(f"  {config.epochs} epochs: {per_epoch * config.epochs}")
@@ -371,11 +371,10 @@ def cmd_count(args) -> int:
         print(f"  precompute charge (d={d}): {d * total}")
         print("  per-epoch charge: 0")
     else:
-        budget = shadow_budget(config)
-        m_snap = budget.snapshots(problem.eval_points.shape[0], problem.order)
-        n_rot = 3 * config.n_qubits * config.depth
-        print(f"  snapshot budget M: {m_snap}")
-        print(f"  per-epoch charge (1 + 2*{n_rot}) * M: {(1 + 2 * n_rot) * m_snap}")
+        model = build_models(config, problem, None)[0]
+        print(f"  snapshot budget M: {model.snapshots}")
+        print(f"  per-epoch charge (1 + 2*{len(model.rotation_params)}) * M: "
+              f"{training.expected_fs_epoch_charge(model)}")
     return EXIT_OK
 
 

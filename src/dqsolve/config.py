@@ -8,10 +8,8 @@ import dataclasses
 import io
 from dataclasses import dataclass, fields
 
-
-class ConfigurationError(ValueError):
-    """Raised for malformed or inconsistent run configurations."""
-
+# one error class for every layer: the circuits and the statevector raise it too
+from .statevector import ConfigurationError
 
 PROBLEMS = ("damped_osc", "burgers", "coupled", "twod_linear")
 VARIANTS = ("original", "to", "fs")

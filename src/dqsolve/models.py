@@ -21,6 +21,7 @@ according to how the classical simulation happens to be organized.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,47 +140,47 @@ def basis_matrix(u: np.ndarray, count: int, kind: str, dorders: tuple[int, ...])
 # differentiated with respect to the input via the parameter-shift rule
 
 
-def _merge_shifts(*parts):
-    merged: dict[int, float] = {}
-    for part in parts:
-        for g, s in part.items():
-            merged[g] = merged.get(g, 0.0) + s
-    return merged
+def shift_rule(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> list:
+    """The parameter-shift rule for an input derivative, as a table.
+
+    One group per tuple of encoding gates (one gate per entry of ``mode``),
+    each holding its ``(sign, shifts)`` corners: every gate of the group
+    shifted by +-pi/2, shifts on a repeated gate added.  The derivative is
+    the sum over groups of prod(scale) * sum(sign * f(shifts)) / 2**len(gates).
+    The value mode () is one empty group with the single corner (1, {});
+    first derivatives have 2*n_enc corners, second ones 4*n_enc**2.
+    """
+    groups = []
+    for gates in itertools.product(*(enc_by_dim[d] for d in mode)):
+        corners = []
+        for signs in itertools.product((1.0, -1.0), repeat=len(gates)):
+            shifts: dict[int, float] = {}
+            for g, sign in zip(gates, signs):
+                shifts[g] = shifts.get(g, 0.0) + sign * SHIFT
+            corners.append((math.prod(signs), shifts))
+        groups.append((gates, corners))
+    return groups
 
 
 def _combine_over_mode(circuit, enc_by_dim, mode, evaluate):
     """Sum shifted evaluations into an input derivative of the given mode.
 
-    ``evaluate(shifts)`` returns an array; the combination applies the
-    parameter-shift rule across the encoding gates of the mode's dimensions:
-    1 call for the value, 2*n_enc for first derivatives, 4*n_enc**2 for
-    second derivatives.
+    ``evaluate(shifts)`` returns an array; the corners of ``shift_rule`` say
+    which shifts to evaluate and with which sign.
     """
-    if len(mode) == 0:
+    if not mode:
+        # the table's single corner (1, {}) at scale 1: return the evaluation
+        # itself rather than two scaled copies of it
         return evaluate({})
-    if len(mode) == 1:
-        total = None
-        for g in enc_by_dim[mode[0]]:
-            s = circuit.gates[g].scale
-            term = s * (evaluate({g: SHIFT}) - evaluate({g: -SHIFT})) / 2.0
-            total = term if total is None else total + term
-        return total
-    if len(mode) == 2:
-        total = None
-        for g in enc_by_dim[mode[0]]:
-            for h in enc_by_dim[mode[1]]:
-                sg = circuit.gates[g].scale
-                sh = circuit.gates[h].scale
-                corner = None
-                for sign_g in (1.0, -1.0):
-                    for sign_h in (1.0, -1.0):
-                        shifts = _merge_shifts({g: sign_g * SHIFT}, {h: sign_h * SHIFT})
-                        term = sign_g * sign_h * evaluate(shifts)
-                        corner = term if corner is None else corner + term
-                term = sg * sh * corner / 4.0
-                total = term if total is None else total + term
-        return total
-    raise ValueError(f"unsupported mode {mode}")
+    total = None
+    for gates, corners in shift_rule(enc_by_dim, mode):
+        corner = None
+        for sign, shifts in corners:
+            term = sign * evaluate(shifts)
+            corner = term if corner is None else corner + term
+        term = math.prod(circuit.gates[g].scale for g in gates) * corner / 2 ** len(gates)
+        total = term if total is None else total + term
+    return total
 
 
 class Readout:
@@ -219,7 +220,6 @@ def mode_expectations(
     enc_by_dim: dict[int, list[int]],
     mode: tuple[int, ...],
     observables,
-    base_shifts=None,
 ) -> np.ndarray:
     """Expectations (or their input derivatives) for a list of ObservableSum.
 
@@ -230,11 +230,10 @@ def mode_expectations(
 
     Returns shape (len(observables), batch).
     """
-    base = base_shifts or {}
     readout = observables if isinstance(observables, Readout) else Readout(observables)
 
     def evaluate(shifts):
-        return readout(run_batch(circuit, bindings, batch, shifts=_merge_shifts(base, shifts)))
+        return readout(run_batch(circuit, bindings, batch, shifts=shifts))
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
@@ -270,27 +269,19 @@ def adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices):
     return np.stack([grads[i] for i in gate_indices], axis=0)
 
 
-def mode_variational_grads(
-    circuit, bindings, batch, enc_by_dim, mode, obs, gate_indices, base_shifts=None
-):
+def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, obs, gate_indices):
     """Gradient of a mode expectation with respect to the listed rotation gates."""
-    base = base_shifts or {}
 
     def evaluate(shifts):
-        return adjoint_gradients(
-            circuit, bindings, batch, obs, _merge_shifts(base, shifts), gate_indices
-        )
+        return adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices)
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
-    """Circuit evaluations charged per point for one mode (no caching assumed)."""
-    if len(mode) == 0:
-        return 1
-    if len(mode) == 1:
-        return 2 * len(enc_by_dim[mode[0]])
-    return 4 * len(enc_by_dim[mode[0]]) * len(enc_by_dim[mode[1]])
+    """Circuit evaluations charged per point for one mode (no caching assumed):
+    the number of shift configurations in the mode's ``shift_rule``."""
+    return sum(len(corners) for _gates, corners in shift_rule(enc_by_dim, mode))
 
 
 def input_param_names(dimension: int) -> tuple[str, ...]:
@@ -345,7 +336,7 @@ class OriginalModel:
         bindings.update({pid: theta[i] for i, pid in enumerate(self.rotation_params)})
         return bindings
 
-    def _raw_mode(self, points, theta, mode, base_shifts=None):
+    def _raw_mode(self, points, theta, mode):
         return mode_expectations(
             self.circuit,
             self._bindings(points, theta),
@@ -353,18 +344,10 @@ class OriginalModel:
             self.enc_by_dim,
             mode,
             [self.observable],
-            base_shifts,
         )[0]
 
     def values(self, params, idx, mode=()):
-        points = self.eval_points[idx]
-        theta, sc, sh = params[:-2], params[-2], params[-1]
-        raw = self._raw_mode(points, theta, mode)
-        _charge(self.counter, points.shape[0] * runs_per_point(self.enc_by_dim, mode), PHASE_EPOCH)
-        out = sc * raw
-        if len(mode) == 0:
-            out = out + sh
-        return out
+        return self.values_at(params, self.eval_points[idx], mode, phase=PHASE_EPOCH)
 
     def jacobian(self, params, idx, mode=()):
         points = self.eval_points[idx]
@@ -642,46 +625,32 @@ class FlippedModel:
         return keys
 
     def begin_epoch(self, params, rng: np.random.Generator, need_grad: bool = True, phase=PHASE_EPOCH):
-        """Gather <P_l> for the current state and its shifted companions."""
+        """Gather <P_l> for the current state and its shifted companions.
+
+        All 1 + 2p states run as one batch, one shift array per shifted gate;
+        exact mode reads every string off the batch in one pass, shadow mode
+        collects one shadow per state in key order.
+        """
         angles = params[: len(self.rotation_params)]
         keys = self._state_keys(need_grad)
-        self._exps = {}
+        shift_arrays: dict[int, np.ndarray] = {}
+        for row, key in enumerate(keys):
+            if key is not None:
+                k, sign = key
+                gate = self.circuit.gate_indices_for(self.rotation_params[k])[0]
+                shift_arrays.setdefault(gate, np.zeros(len(keys)))[row] = sign * SHIFT
+        bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
+        amps = run_batch(self.circuit, bindings, len(keys), shifts=shift_arrays)
         if self.mode == "exact":
-            shifts_per_key = []
-            for key in keys:
-                if key is None:
-                    shifts_per_key.append({})
-                else:
-                    k, sign = key
-                    gate = self.circuit.gate_indices_for(self.rotation_params[k])[0]
-                    shifts_per_key.append({gate: sign * SHIFT})
-            batch = len(keys)
-            shift_arrays: dict[int, np.ndarray] = {}
-            for row, shifts in enumerate(shifts_per_key):
-                for g, s in shifts.items():
-                    shift_arrays.setdefault(g, np.zeros(batch))[row] = s
-            bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
-            amps = run_batch(self.circuit, bindings, batch, shifts=shift_arrays)
-            table = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
-            for row, key in enumerate(keys):
-                self._exps[key] = table[row]
+            rows = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
         else:
-            for key in keys:
-                shifts = {}
-                if key is not None:
-                    k, sign = key
-                    gate = self.circuit.gate_indices_for(self.rotation_params[k])[0]
-                    shifts = {gate: sign * SHIFT}
-                bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
-                amps = run_batch(self.circuit, bindings, 1, shifts=shifts)
-                state = StateVector(self.n_qubits, amps[0])
-                shadow = shadows.collect(state, self.snapshots, rng)
-                self._exps[key] = np.array(
-                    [
-                        shadows.estimate_pauli(shadow, p, self.n_batches)
-                        for p in self.pauli_set
-                    ]
+            rows = []
+            for state in amps:
+                shadow = shadows.collect(StateVector(self.n_qubits, state), self.snapshots, rng)
+                rows.append(
+                    np.array([shadows.estimate_pauli(shadow, p, self.n_batches) for p in self.pauli_set])
                 )
+        self._exps = dict(zip(keys, rows))
         _charge(self.counter, len(keys) * self.snapshots, phase)
 
     def _exps_for(self, params, key, rng=None):

@@ -10,6 +10,7 @@ collocation grids stay strictly interior to the stated open domain.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -365,9 +366,6 @@ def mos(problem: DEProblem, trial_models, params_list) -> float:
     F = {}
     for fn, (model, params) in enumerate(zip(trial_models, params_list)):
         counter = getattr(model, "counter", None)
-        if counter is not None:
-            with counter.paused():
-                F[(fn, ())] = model.values(params, np.arange(problem.grid.size), ())
-        else:
+        with counter.paused() if counter is not None else contextlib.nullcontext():
             F[(fn, ())] = model.values(params, np.arange(problem.grid.size), ())
     return mos_from_values(problem, F)

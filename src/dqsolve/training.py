@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems as problems_mod
-from .models import PHASE_EPOCH, PHASE_INFERENCE, PHASE_PRECOMPUTE
+from .models import PHASE_EPOCH, PHASE_INFERENCE, PHASE_PRECOMPUTE, runs_per_point
 
 
 class NumericalFailure(RuntimeError):
@@ -267,8 +267,6 @@ def expected_original_epoch_charge(problem, model, fn: int = 0) -> int:
     """Closed-form per-epoch charge for the original protocol (hand-checkable):
     values at every mode, parameter-shift Jacobians at the modes the residual
     actually couples to, plus the boundary-condition evaluations."""
-    from .models import runs_per_point
-
     m = problem.grid.size
     p_rot = len(model.rotation_params)
     probe = {

@@ -139,6 +139,25 @@ def test_invalid_config_exit_code(tmp_path):
     assert run_cli("run", "--problem", "damped_osc", "--variant", "to",
                    "--obs", "loc2", "--n-qubits", "13",
                    "--out", str(tmp_path / "x")) == cli.EXIT_CONFIG
+    # an odd register cannot be split over two inputs; the circuits layer
+    # raises, and that is a configuration error too
+    assert run_cli("run", "--problem", "twod_linear", "--variant", "original",
+                   "--n-qubits", "5", "--out", str(tmp_path / "y")) == cli.EXIT_CONFIG
+    assert run_cli("count", "--problem", "twod_linear", "--variant", "to",
+                   "--n-qubits", "3") == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "variant", [["original"], ["fs", "--fs-mode", "exact"]], ids=["original", "fs-exact"]
+)
+def test_count_matches_the_accountant(tmp_path, capsys, variant):
+    assert run_cli("count", "--problem", "damped_osc", "--variant", *variant) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "per-epoch charge" in s)
+    predicted = int(line.rsplit(":", 1)[1])
+    assert run_cli("run", "--problem", "damped_osc", "--variant", *variant,
+                   "--epochs", "1", "--out", str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["counter"]["per_epoch"] == predicted
 
 
 def test_compare_emits_merged_csv_and_report(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
-from dqsolve import circuits, models, pauli, problems, shadows
-from dqsolve.statevector import expectation
+from dqsolve import circuits, differentiation, models, pauli, problems, shadows
+from dqsolve.statevector import StateVector, expectation, pauli_expectation_batch, pauli_tables
 from dqsolve.training import EvalCounter
 
 EVAL_POINTS_1D = np.linspace(0.05, 0.95, 7)[:, None]
@@ -72,6 +72,30 @@ def test_runs_per_point():
     assert models.runs_per_point(enc, (0,)) == 6
     assert models.runs_per_point(enc, (1,)) == 4
     assert models.runs_per_point(enc, (0, 1)) == 24
+    assert models.runs_per_point(enc, (0, 0)) == 36
+    assert models.runs_per_point(enc, (1, 1)) == 16
+
+
+@pytest.mark.parametrize(
+    "dimension, mode, param, order",
+    [(1, (0,), "x0", 1), (1, (0, 0), "x0", 2), (2, (1,), "x1", 1)],
+)
+def test_mode_expectations_match_the_shift_rule_oracle(dimension, mode, param, order):
+    # differentiation.d_dx writes the parameter-shift rule out on its own,
+    # one expectation per shifted circuit and point
+    model = models.OriginalModel(4, 2, np.zeros((1, dimension)))
+    rng = np.random.default_rng(8)
+    theta = rng.uniform(-np.pi, np.pi, len(model.rotation_params))
+    points = rng.uniform(0.0, 1.0, (5, dimension))
+    got = models.mode_expectations(
+        model.circuit, model._bindings(points, theta), len(points), model.enc_by_dim, mode,
+        [model.observable],
+    )[0]
+    for j, point in enumerate(points):
+        bindings = {f"x{d}": float(point[d]) for d in range(dimension)}
+        bindings.update(zip(model.rotation_params, theta))
+        oracle = differentiation.d_dx(model.circuit, bindings, model.observable, param, order)
+        assert got[j] == pytest.approx(oracle, abs=1e-10)
 
 
 def test_mode_expectations_match_direct_simulation():
@@ -88,8 +112,6 @@ def test_mode_expectations_match_direct_simulation():
 
 
 def test_adjoint_gradients_match_parameter_shift():
-    from dqsolve import differentiation
-
     rng = np.random.default_rng(5)
     circuit = circuits.compose(circuits.tower_feature_map(3, "x0"), circuits.hea(3, 2))
     obs = pauli.sum_of_z(3)
@@ -281,6 +303,33 @@ def test_flipped_epoch_charges():
     assert counter.total == (1 + 2 * n_rot) * model.snapshots
     model.begin_epoch(params, np.random.default_rng(1), need_grad=False)
     assert counter.total == (1 + 2 * n_rot) * model.snapshots + model.snapshots
+
+
+@pytest.mark.parametrize("mode", ["exact", "shadow"])
+def test_flipped_gathers_every_state_in_one_batch(mode):
+    # reference: one batch-of-one run per state, shadows collected in key order
+    model = models.FlippedModel(3, 2, EVAL_POINTS_1D, mode=mode)
+    params = model.init_params(np.random.default_rng(6))
+    model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
+    rng = np.random.default_rng(12)
+    bindings = {pid: params[i] for i, pid in enumerate(model.rotation_params)}
+    tables = pauli_tables([p.letters for p in model.pauli_set])
+    keys = [None] + [(k, sign) for k in range(len(model.rotation_params)) for sign in (+1, -1)]
+    assert list(model._exps) == keys
+    for key in keys:
+        shifts = {}
+        if key is not None:
+            gate = model.circuit.gate_indices_for(model.rotation_params[key[0]])[0]
+            shifts = {gate: key[1] * models.SHIFT}
+        amps = circuits.run_batch(model.circuit, bindings, 1, shifts=shifts)
+        if mode == "exact":
+            expected = pauli_expectation_batch(amps, tables)[0]
+        else:
+            shadow = shadows.collect(StateVector(3, amps[0]), model.snapshots, rng)
+            expected = np.array(
+                [shadows.estimate_pauli(shadow, p, model.n_batches) for p in model.pauli_set]
+            )
+        assert np.array_equal(model._exps[key], expected), key
 
 
 def test_flipped_shadow_mode_approaches_exact():
