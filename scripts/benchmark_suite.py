@@ -8,12 +8,12 @@ artifacts land under --out/<problem>/<model>/.
 """
 
 import argparse
-import dataclasses
 import pathlib
+import sys
 import time
 
 from dqsolve import cli
-from dqsolve.config import default_config
+from dqsolve.config import ConfigurationError, apply_overrides, default_config
 
 DEFAULT_PROBLEMS = ["damped_osc", "burgers", "coupled", "twod_linear"]
 DEFAULT_MODELS = ["original", "to-loc2", "fs-exact"]
@@ -31,27 +31,35 @@ def main():
     parser.add_argument("--out", default="runs/benchmarks")
     args = parser.parse_args()
 
+    # validate every configuration before training any of them
+    runs = []
+    try:
+        for problem_name in args.problems:
+            for spec in args.models:
+                variant, extra = cli.parse_model_spec(spec)
+                overrides = dict(extra, seed=args.seed)
+                if args.epochs is not None:
+                    overrides["epochs"] = args.epochs
+                overrides["out_dir"] = str(pathlib.Path(args.out) / problem_name / spec)
+                config = apply_overrides(default_config(problem_name, variant), overrides)
+                runs.append((problem_name, spec, config))
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+
     header = f"{'problem':<12} {'model':<10} {'epochs':>6} {'loss':>10} {'MoS/pt':>10} {'evals':>12} {'secs':>6}"
     print(header)
     print("-" * len(header))
-    for problem_name in args.problems:
-        for spec in args.models:
-            variant, extra = cli.parse_model_spec(spec)
-            config = default_config(problem_name, variant)
-            overrides = dict(extra, seed=args.seed)
-            if args.epochs is not None:
-                overrides["epochs"] = args.epochs
-            out_dir = pathlib.Path(args.out) / problem_name / spec
-            config = dataclasses.replace(config, **overrides, out_dir=str(out_dir))
-            start = time.time()
-            problem, trial_models, trace, counter = cli.execute(config)
-            elapsed = time.time() - start
-            cli.write_run_artifacts(config, problem, trial_models, trace, counter)
-            last = trace.records[-1]
-            per_point = last.mos / (problem.grid.size * problem.n_functions)
-            print(f"{problem_name:<12} {spec:<10} {len(trace.records):>6} "
-                  f"{last.loss:>10.3e} {per_point:>10.3e} {counter.total:>12} "
-                  f"{elapsed:>6.1f}")
+    for problem_name, spec, config in runs:
+        start = time.time()
+        problem, trial_models, trace, counter = cli.execute(config)
+        elapsed = time.time() - start
+        cli.write_run_artifacts(config, problem, trial_models, trace, counter)
+        last = trace.records[-1]
+        per_point = last.mos / (problem.grid.size * problem.n_functions)
+        print(f"{problem_name:<12} {spec:<10} {len(trace.records):>6} "
+              f"{last.loss:>10.3e} {per_point:>10.3e} {counter.total:>12} "
+              f"{elapsed:>6.1f}")
     print(f"\nper-run artifacts under {args.out}/")
 
 

@@ -350,31 +350,29 @@ def cmd_compare(args) -> int:
 
 
 def cmd_count(args) -> int:
+    """Print the closed-form charges of a run; nothing is simulated."""
     config = _resolve_config(args)
     problem = build_problem(config)
-    policy = training.counting_policy(config.variant)
     print(f"{config.problem}/{config.variant} cost model:")
-    for phase, rule in policy.items():
+    for phase, rule in training.counting_policy(config.variant).items():
         print(f"  {phase}: {rule}")
-    if config.variant == "original":
-        model = build_models(config, problem, None)[0]
-        per_epoch = training.expected_original_epoch_charge(problem, model)
-        print(f"  per-epoch charge at m={problem.grid.size}: {per_epoch}")
-        print(f"  {config.epochs} epochs: {per_epoch * config.epochs}")
-    elif config.variant == "to":
+    if config.variant == "to":
+        # the table's size and encoding gates, without measuring it
         d = len(observable_set(config))
         circuit = models.encoding_circuit(config.n_qubits, problem.dimension, config.ub_seed)
         enc = models._enc_by_dim(circuit, problem.dimension)
-        total = 0
-        for mode in problem.all_modes:
-            total += problem.eval_points.shape[0] * models.runs_per_point(enc, mode)
-        print(f"  precompute charge (d={d}): {d * total}")
-        print("  per-epoch charge: 0")
+        charges = training.expected_charges(problem, to_table=(d, enc))
+        print(f"  candidate observables d: {d}")
     else:
-        model = build_models(config, problem, None)[0]
-        print(f"  snapshot budget M: {model.snapshots}")
-        print(f"  per-epoch charge (1 + 2*{len(model.rotation_params)}) * M: "
-              f"{training.expected_fs_epoch_charge(model)}")
+        trial_models = build_models(config, problem, None)
+        charges = training.expected_charges(problem, trial_models)
+        if config.variant == "fs":
+            print(f"  snapshot budget M: {trial_models[0].snapshots}")
+    per_epoch = charges["per_epoch"]
+    print(f"  precompute charge: {charges['precompute']}")
+    print(f"  per-epoch charge at m={problem.grid.size}, "
+          f"summed over {problem.n_functions} function(s): {per_epoch}")
+    print(f"  {config.epochs} epochs: {charges['precompute'] + config.epochs * per_epoch}")
     return EXIT_OK
 
 

@@ -284,6 +284,12 @@ def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> i
     return sum(len(corners) for _gates, corners in shift_rule(enc_by_dim, mode))
 
 
+def to_charge(n_strings: int, n_points: int, enc_by_dim: dict[int, list[int]], modes) -> int:
+    """Trainable-observable charge for measuring ``n_strings`` Pauli strings at
+    ``n_points`` points in every mode: d * sum over modes of n_points * E(mode)."""
+    return n_strings * sum(n_points * runs_per_point(enc_by_dim, tuple(mode)) for mode in modes)
+
+
 def input_param_names(dimension: int) -> tuple[str, ...]:
     return tuple(f"x{d}" for d in range(dimension))
 
@@ -440,11 +446,11 @@ def precompute_to_table(
 ) -> TOTable:
     """Measure every (mode, point, observable) entry once, before training.
 
-    Charges d * n_points * runs_per_point(mode) per mode, the full pre-training
-    quantum cost of the trainable-observable protocol: the protocol measures
-    each string separately.  The simulator stacks the d strings' Pauli tables
-    once for all modes and reads all of them in one pass per shift
-    configuration.
+    Charges ``to_charge`` (d * n_points * E(mode), summed over modes), the
+    full pre-training quantum cost of the trainable-observable protocol: the
+    protocol measures each string separately.  The simulator stacks the d
+    strings' Pauli tables once for all modes and reads all of them in one
+    pass per shift configuration.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]
@@ -458,7 +464,7 @@ def precompute_to_table(
         mode = tuple(mode)
         table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, readout)
         entries[mode] = table.T.copy()  # (n_pts, d)
-        _charge(counter, len(labels) * points.shape[0] * runs_per_point(enc, mode), PHASE_PRECOMPUTE)
+    _charge(counter, to_charge(len(labels), points.shape[0], enc, modes), PHASE_PRECOMPUTE)
     to_table = TOTable(
         points=points,
         modes=tuple(tuple(m) for m in modes),
@@ -549,11 +555,8 @@ class TOModel:
         rows = mode_expectations(
             circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.readout
         ).T
-        _charge(
-            self.counter,
-            self.table.n_observables * points.shape[0] * runs_per_point(enc, tuple(mode)),
-            phase,
-        )
+        d = self.table.n_observables
+        _charge(self.counter, to_charge(d, points.shape[0], enc, [mode]), phase)
         alpha, a_s = params[:-1], params[-1]
         return a_s * (rows @ alpha)
 
@@ -696,20 +699,19 @@ class FlippedModel:
         exps = self._exps_for(params, None, rng)
         u = self._mapped(params, points)
         j = len(mode)
-        series = self._basis(u, mode) @ exps
+        basis = self._basis(u, mode)
+        series = basis @ exps
         jac = np.zeros((points.shape[0], self.n_params))
         for k in range(len(self.rotation_params)):
             plus = self._exps_for(params, (k, +1), rng)
             minus = self._exps_for(params, (k, -1), rng)
-            jac[:, k] = a_out * a_in**j * (self._basis(u, mode) @ ((plus - minus) / 2.0))
+            jac[:, k] = a_out * a_in**j * (basis @ ((plus - minus) / 2.0))
         n_rot = len(self.rotation_params)
         jac[:, n_rot + 0] = a_in**j * series  # alpha_out
         extra = np.zeros(points.shape[0])  # sum_d x_d * d/du_d of the series
         shift_extra = np.zeros(points.shape[0])
         for d in range(self.dimension):
-            deeper = basis_matrix(
-                u, self.n_basis, self.basis, self._dorders(mode + (d,))
-            ) @ exps
+            deeper = self._basis(u, mode + (d,)) @ exps
             extra += points[:, d] * deeper
             shift_extra += deeper
         if j == 0:

@@ -11,6 +11,7 @@ collocation grids stay strictly interior to the stated open domain.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -65,14 +66,24 @@ class DEProblem:
     analytic_modes: dict | None = None          # (fn, mode) -> callable, closed-form derivatives
     notes: dict = field(default_factory=dict)
 
-    @property
-    def n_equations(self) -> int:
-        probe = {
-            (fn, mode): np.zeros(self.grid.size)
-            for fn in range(self.n_functions)
-            for mode in self.all_modes
-        }
-        return self.residual(self.grid.points, probe).shape[0]
+    @functools.cached_property
+    def jacobian_modes(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Per function, the modes the residual couples to, sorted by (order,
+        mode): the Jacobians an epoch evaluates.  Read off the partials of an
+        all-zero probe: fixed by the residual's structure, not by runtime
+        values, so charges are deterministic."""
+        fns = range(self.n_functions)
+        probe = {key: np.zeros(self.grid.size) for key in product(fns, self.all_modes)}
+        partials = self.residual_partials(self.grid.points, probe)
+        modes = {fn: {mode for (_eq, f, mode) in partials if f == fn} for fn in fns}
+        return {fn: tuple(sorted(s, key=lambda t: (len(t), t))) for fn, s in modes.items()}
+
+    @functools.cached_property
+    def reference_values(self) -> tuple[np.ndarray, ...]:
+        """Each function's reference solution on the grid, evaluated once."""
+        if self.analytic is None:
+            raise ValueError(f"problem {self.name} has no reference solution")
+        return tuple(f(self.grid.points) for f in self.analytic)
 
     @property
     def all_modes(self) -> tuple[tuple[int, ...], ...]:
@@ -299,9 +310,7 @@ def analytic_mode_values(problem: DEProblem, fn: int, mode) -> np.ndarray:
     """Closed-form solution (or its derivative, per ``mode``) on the grid."""
     mode = tuple(mode)
     if len(mode) == 0:
-        if problem.analytic is None:
-            raise ValueError(f"{problem.name} has no closed-form solution")
-        return problem.analytic[fn](problem.grid.points)
+        return problem.reference_values[fn]
     if problem.analytic_modes is None or (fn, mode) not in problem.analytic_modes:
         raise ValueError(f"{problem.name} has no closed-form derivative for {(fn, mode)}")
     return problem.analytic_modes[(fn, mode)](problem.grid.points)
@@ -351,13 +360,8 @@ def loss(problem: DEProblem, trial_models, params_list):
 
 
 def mos_from_values(problem: DEProblem, F) -> float:
-    if problem.analytic is None:
-        raise ValueError(f"problem {problem.name} has no reference solution")
-    total = 0.0
-    for fn in range(problem.n_functions):
-        ref = problem.analytic[fn](problem.grid.points)
-        total += float(np.sum((F[(fn, ())] - ref) ** 2))
-    return total
+    refs = problem.reference_values
+    return sum(float(np.sum((F[(fn, ())] - ref) ** 2)) for fn, ref in enumerate(refs))
 
 
 def mos(problem: DEProblem, trial_models, params_list) -> float:

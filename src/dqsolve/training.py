@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import problems as problems_mod
-from .models import PHASE_EPOCH, PHASE_INFERENCE, PHASE_PRECOMPUTE, runs_per_point
+from .models import PHASE_EPOCH, PHASE_INFERENCE, PHASE_PRECOMPUTE, FlippedModel
+from .models import runs_per_point, to_charge
 
 
 class NumericalFailure(RuntimeError):
@@ -132,29 +133,22 @@ def loss_gradients(problem, trial_models, params_list):
     partials = problem.residual_partials(problem.grid.points, F)
     n_eq = residuals.shape[0]
 
-    # dL/dF[(fn, mode)] over the grid; the set of Jacobians evaluated is
-    # fixed by the residual's structure, not by runtime values, so charge
-    # totals are deterministic
+    # dL/dF[(fn, mode)] over the grid
     dl_df = {key: np.zeros(m) for key in F}
-    jac_modes = {fn: set() for fn in range(problem.n_functions)}
     for (eq, fn, mode), part in partials.items():
         dl_df[(fn, mode)] += (2.0 / (m * n_eq)) * residuals[eq] * part
-        jac_modes[fn].add(mode)
 
     grads = []
     for fn, (model, params) in enumerate(zip(trial_models, params_list)):
         grad = np.zeros(model.n_params)
-        for mode in sorted(jac_modes[fn], key=lambda t: (len(t), t)):
+        for mode in problem.jacobian_modes[fn]:
             jac = model.jacobian(params, grid_idx, mode)
             grad += dl_df[(fn, mode)] @ jac
-        bc_idx = [m + t for t, term in enumerate(problem.boundary) if term.function == fn]
-        if bc_idx:
-            targets = np.array(
-                [problem.boundary[t - m].target for t in bc_idx]
-            )
-            vals = bc_values[[t - m for t in bc_idx]]
-            jac = model.jacobian(params, np.array(bc_idx), ())
-            grad += (2.0 * (vals - targets)) @ jac
+        terms = [t for t, term in enumerate(problem.boundary) if term.function == fn]
+        if terms:
+            targets = np.array([problem.boundary[t].target for t in terms])
+            jac = model.jacobian(params, m + np.array(terms), ())
+            grad += (2.0 * (bc_values[terms] - targets)) @ jac
         grads.append(grad)
     return (total, l_de, l_bc), F, grads
 
@@ -263,28 +257,28 @@ def counting_policy(variant: str) -> dict:
     return policies[variant]
 
 
-def expected_original_epoch_charge(problem, model, fn: int = 0) -> int:
-    """Closed-form per-epoch charge for the original protocol (hand-checkable):
-    values at every mode, parameter-shift Jacobians at the modes the residual
-    actually couples to, plus the boundary-condition evaluations."""
-    m = problem.grid.size
-    p_rot = len(model.rotation_params)
-    probe = {
-        (f, mode): np.zeros(m)
-        for f in range(problem.n_functions)
-        for mode in problem.all_modes
-    }
-    partial_keys = problem.residual_partials(problem.grid.points, probe).keys()
-    jac_modes = {mode for (_eq, f, mode) in partial_keys if f == fn}
-    total = 0
-    for mode in problem.all_modes:
-        total += m * runs_per_point(model.enc_by_dim, mode)
-    for mode in jac_modes:
-        total += m * runs_per_point(model.enc_by_dim, mode) * 2 * p_rot
-    n_bc = sum(1 for t in problem.boundary if t.function == fn)
-    total += n_bc * (1 + 2 * p_rot)
-    return total
+def expected_charges(problem, trial_models=(), to_table=None) -> dict:
+    """Closed-form charges of one run: ``precompute`` for the whole run and
+    ``per_epoch`` for one epoch, summed over the problem's trial functions.
 
-
-def expected_fs_epoch_charge(model) -> int:
-    return (1 + 2 * len(model.rotation_params)) * model.snapshots
+    ``trial_models`` are the original or flipped models, one per function.
+    A trainable-observable run passes ``to_table=(d, enc_by_dim)`` instead:
+    its functions share one table, charged once, and its epochs are free.
+    """
+    precompute = per_epoch = 0
+    if to_table is not None:
+        d, enc = to_table
+        precompute = to_charge(d, problem.eval_points.shape[0], enc, problem.all_modes)
+    for fn, model in enumerate(trial_models):
+        pair_runs = 2 * len(model.rotation_params)  # a parameter-shift pair per rotation
+        if isinstance(model, FlippedModel):
+            per_epoch += (1 + pair_runs) * model.snapshots
+            continue
+        # values at every mode and boundary point; Jacobians at the modes the
+        # residual couples to and at the boundary points
+        m, enc = problem.grid.size, model.enc_by_dim
+        runs = {mode: m * runs_per_point(enc, mode) for mode in problem.all_modes}
+        n_bc = sum(1 for t in problem.boundary if t.function == fn)
+        per_epoch += sum(runs.values()) + n_bc * (1 + pair_runs)
+        per_epoch += pair_runs * sum(runs[mode] for mode in problem.jacobian_modes[fn])
+    return {"precompute": precompute, "per_epoch": per_epoch}

@@ -147,17 +147,26 @@ def test_invalid_config_exit_code(tmp_path):
                    "--n-qubits", "3") == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("problem", ["damped_osc", "burgers", "coupled", "twod_linear"])
 @pytest.mark.parametrize(
-    "variant", [["original"], ["fs", "--fs-mode", "exact"]], ids=["original", "fs-exact"]
+    "variant",
+    [["original"], ["to", "--obs", "loc1"], ["fs", "--fs-mode", "exact"]],
+    ids=["original", "to-loc1", "fs-exact"],
 )
-def test_count_matches_the_accountant(tmp_path, capsys, variant):
-    assert run_cli("count", "--problem", "damped_osc", "--variant", *variant) == 0
-    line = next(s for s in capsys.readouterr().out.splitlines() if "per-epoch charge" in s)
-    predicted = int(line.rsplit(":", 1)[1])
-    assert run_cli("run", "--problem", "damped_osc", "--variant", *variant,
-                   "--epochs", "1", "--out", str(tmp_path)) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["counter"]["per_epoch"] == predicted
+def test_count_matches_the_accountant(tmp_path, capsys, variant, problem):
+    """Every phase ``count`` predicts equals what one epoch of ``run`` charges,
+    summed over all the problem's functions."""
+    flags = ["--problem", problem, "--variant", *variant, "--grid-m", "3", "--n-qubits", "2",
+             "--depth", "1", "--epochs", "1"]
+    assert run_cli("count", *flags) == 0
+    predicted = {}
+    for line in capsys.readouterr().out.splitlines():
+        for phase, label in (("precompute", "precompute charge"), ("per_epoch", "per-epoch charge")):
+            if label in line:
+                predicted[phase] = int(line.rsplit(":", 1)[1])
+    assert run_cli("run", *flags, "--out", str(tmp_path)) == 0
+    counter = json.loads((tmp_path / "summary.json").read_text())["counter"]
+    assert predicted == {"precompute": counter["precompute"], "per_epoch": counter["per_epoch"]}
 
 
 def test_compare_emits_merged_csv_and_report(tmp_path):

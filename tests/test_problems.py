@@ -1,5 +1,7 @@
 """Benchmark problems, grids, loss and the success metric."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,37 @@ def test_all_modes_starts_with_value():
     for name in problems.PROBLEMS:
         problem = problems.PROBLEMS[name]()
         assert problem.all_modes[0] == ()
+
+
+def test_jacobian_modes_are_the_residual_couplings():
+    expected = {
+        "damped_osc": {0: {(0,)}},
+        "burgers": {0: {(), (0,), (0, 0)}},
+        "coupled": {0: {(), (0,)}, 1: {(), (0,)}},
+        "twod_linear": {0: {(1,)}},
+    }
+    for name, modes in expected.items():
+        found = problems.PROBLEMS[name](4).jacobian_modes
+        assert {fn: set(m) for fn, m in found.items()} == modes
+        # sorted by (order, mode): the order loss_gradients evaluates them in
+        assert all(list(m) == sorted(m, key=lambda t: (len(t), t)) for m in found.values())
+
+
+def test_reference_values_are_evaluated_once():
+    problem = problems.stationary_burgers(m=5)
+    calls = []
+
+    def reference(points):
+        calls.append(len(points))
+        return problem.analytic[0](points)
+
+    counted = dataclasses.replace(problem, analytic=(reference,))
+    F = {(0, ()): np.zeros(5)}
+    first = problems.mos_from_values(counted, F)
+    assert problems.mos_from_values(counted, F) == first == problems.mos_from_values(problem, F)
+    exact = problem.analytic[0](problem.grid.points)
+    assert np.array_equal(problems.analytic_mode_values(counted, 0, ()), exact)
+    assert calls == [5]
 
 
 class TableModel:

@@ -10,8 +10,7 @@ from dqsolve.training import (
     NumericalFailure,
     adam_step,
     counting_policy,
-    expected_fs_epoch_charge,
-    expected_original_epoch_charge,
+    expected_charges,
     train,
 )
 
@@ -105,7 +104,9 @@ def test_original_charge_matches_closed_form():
     problem = small_problem()
     counter = EvalCounter()
     model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
-    per_epoch = expected_original_epoch_charge(problem, model)
+    charges = expected_charges(problem, [model])
+    per_epoch = charges["per_epoch"]
+    assert charges["precompute"] == 0
     # hand count: m=2 points; modes () and (0,); n_enc=4; P=12 rotations;
     # one boundary term. values: 2*(1+8); jacobian at (0,): 2*8*2P; bc: 1+2P.
     assert per_epoch == 2 * (1 + 8) + 2 * 8 * 2 * 12 + (1 + 2 * 12)
@@ -125,6 +126,9 @@ def test_to_training_is_quantum_free():
     )
     after_precompute = counter.total
     assert after_precompute == 67 * 3 * (1 + 2 * 4)
+    enc = models._enc_by_dim(models.encoding_circuit(4, 1), 1)
+    charges = expected_charges(problem, to_table=(67, enc))
+    assert charges == {"precompute": after_precompute, "per_epoch": 0}
     model = models.TOModel(table, counter=counter)
     train(problem, [model], {"epochs": 50, "lr": 0.05, "stop_loss": None},
           np.random.default_rng(0), counter=counter)
@@ -135,7 +139,9 @@ def test_fs_epoch_charge_matches_closed_form():
     problem = small_problem()
     counter = EvalCounter()
     model = models.FlippedModel(4, 1, problem.eval_points, mode="exact", counter=counter)
-    per_epoch = expected_fs_epoch_charge(model)
+    charges = expected_charges(problem, [model])
+    per_epoch = charges["per_epoch"]
+    assert charges["precompute"] == 0
     assert per_epoch == (1 + 2 * 12) * model.snapshots
     train(problem, [model], {"epochs": 2, "lr": 0.05, "stop_loss": None},
           np.random.default_rng(0), counter=counter)
