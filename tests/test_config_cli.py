@@ -147,13 +147,26 @@ def test_invalid_config_exit_code(tmp_path):
                    "--n-qubits", "3") == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "variant", [["original"], ["fs", "--fs-mode", "exact"]], ids=["original", "fs-exact"]
+)
+def test_count_matches_the_accountant(tmp_path, capsys, variant):
+    assert run_cli("count", "--problem", "damped_osc", "--variant", *variant) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "per-epoch charge" in s)
+    predicted = int(line.rsplit(":", 1)[1])
+    assert run_cli("run", "--problem", "damped_osc", "--variant", *variant,
+                   "--epochs", "1", "--out", str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["counter"]["per_epoch"] == predicted
+
+
 @pytest.mark.parametrize("problem", ["damped_osc", "burgers", "coupled", "twod_linear"])
 @pytest.mark.parametrize(
     "variant",
     [["original"], ["to", "--obs", "loc1"], ["fs", "--fs-mode", "exact"]],
     ids=["original", "to-loc1", "fs-exact"],
 )
-def test_count_matches_the_accountant(tmp_path, capsys, variant, problem):
+def test_count_matches_the_accountant_on_every_problem(tmp_path, capsys, variant, problem):
     """Every phase ``count`` predicts equals what one epoch of ``run`` charges,
     summed over all the problem's functions."""
     flags = ["--problem", problem, "--variant", *variant, "--grid-m", "3", "--n-qubits", "2",
