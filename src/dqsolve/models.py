@@ -30,7 +30,13 @@ import numpy as np
 
 from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, run_batch
-from .statevector import StateVector, pauli_action, pauli_expectation_batch, pauli_tables
+from .statevector import (
+    ConfigurationError,
+    StateVector,
+    pauli_action,
+    pauli_expectation_batch,
+    pauli_tables,
+)
 
 SHIFT = np.pi / 2.0
 
@@ -607,6 +613,12 @@ class FlippedModel:
         self.pauli_set = pauli.enumerate_k_local(n_qubits, 1)
         self.n_basis = len(self.pauli_set)
         self.n_batches = shadows.default_batches(self.n_basis)
+        if mode == "shadow" and self.snapshots < self.n_batches:
+            raise ConfigurationError(
+                f"shadow budget M = {self.snapshots} per state is smaller than its "
+                f"{self.n_batches} median-of-means batches; raise shadow_c0 or "
+                f"shadow_w_max, or lower shadow_eps"
+            )
         # exact mode reads every string of the set in one pass per epoch
         self._tables = pauli_tables([p.letters for p in self.pauli_set]) if mode == "exact" else None
         self.counter = counter
@@ -632,7 +644,8 @@ class FlippedModel:
 
         All 1 + 2p states run as one batch, one shift array per shifted gate;
         exact mode reads every string off the batch in one pass, shadow mode
-        collects one shadow per state in key order.
+        collects one shadow per state in key order and reads every string
+        off it in one ``estimate_pauli`` call.
         """
         angles = params[: len(self.rotation_params)]
         keys = self._state_keys(need_grad)
@@ -647,12 +660,14 @@ class FlippedModel:
         if self.mode == "exact":
             rows = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
         else:
-            rows = []
-            for state in amps:
-                shadow = shadows.collect(StateVector(self.n_qubits, state), self.snapshots, rng)
-                rows.append(
-                    np.array([shadows.estimate_pauli(shadow, p, self.n_batches) for p in self.pauli_set])
+            rows = [
+                shadows.estimate_pauli(
+                    shadows.collect(StateVector(self.n_qubits, state), self.snapshots, rng),
+                    self.pauli_set,
+                    self.n_batches,
                 )
+                for state in amps
+            ]
         self._exps = dict(zip(keys, rows))
         _charge(self.counter, len(keys) * self.snapshots, phase)
 

@@ -229,12 +229,18 @@ def rotate_to_bases(amps: np.ndarray, n: int, bases) -> np.ndarray:
     return out
 
 
-def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Sample one computational-basis index per row from the Born distribution."""
+def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator, rows=None) -> np.ndarray:
+    """Sample one computational-basis index per row from the Born distribution.
+
+    With ``rows`` given, draw one index per entry of ``rows`` instead, the
+    i-th from the distribution of ``amps[rows[i]]``.
+    """
     probs = np.abs(amps) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
-    u = rng.random(amps.shape[0])
+    if rows is not None:
+        cum = cum[rows]
+    u = rng.random(cum.shape[0])
     return (cum < u[:, None]).sum(axis=1)
 
 

@@ -145,6 +145,13 @@ def test_invalid_config_exit_code(tmp_path):
                    "--n-qubits", "5", "--out", str(tmp_path / "y")) == cli.EXIT_CONFIG
     assert run_cli("count", "--problem", "twod_linear", "--variant", "to",
                    "--n-qubits", "3") == cli.EXIT_CONFIG
+    # a shadow budget below the median-of-means batch count (M = 1 and M = 6,
+    # against 10 batches) is refused before anything is simulated
+    for budget in (["--shadow-c0", "0.01"], ["--shadow-w-max", "0", "--shadow-c0", "1"]):
+        fs_shadow = ("--problem", "damped_osc", "--variant", "fs", "--fs-mode", "shadow", *budget)
+        assert run_cli("run", *fs_shadow, "--epochs", "1",
+                       "--out", str(tmp_path / "z")) == cli.EXIT_CONFIG
+        assert run_cli("count", *fs_shadow) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize(

@@ -332,6 +332,39 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
         assert np.array_equal(model._exps[key], expected), key
 
 
+def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
+    model = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="shadow")
+    params = model.init_params(np.random.default_rng(6))
+    estimates, rotations = [], []   # rotations: one list of (bases, rows) per collect
+    estimate_pauli, collect, rotate = shadows.estimate_pauli, shadows.collect, shadows.rotate_to_bases
+
+    def counting_estimate(*args, **kwargs):
+        estimates.append(args[1])
+        return estimate_pauli(*args, **kwargs)
+
+    def counting_collect(*args, **kwargs):
+        rotations.append([])
+        return collect(*args, **kwargs)
+
+    def counting_rotate(amps, n, bases):
+        rotations[-1].append((bases, amps.shape[0]))
+        return rotate(amps, n, bases)
+
+    monkeypatch.setattr(shadows, "estimate_pauli", counting_estimate)
+    monkeypatch.setattr(shadows, "collect", counting_collect)
+    monkeypatch.setattr(shadows, "rotate_to_bases", counting_rotate)
+    model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
+    n_states = 1 + 2 * len(model.rotation_params)
+    assert len(estimates) == n_states
+    assert all(strings is model.pauli_set for strings in estimates)
+    assert len(rotations) == n_states
+    cap = min(model.snapshots, 3**4)
+    assert model.snapshots > cap   # per-snapshot rotation would exceed the cap
+    for calls in rotations:
+        for q in range(4):
+            assert sum(rows for bases, rows in calls if bases[q] != "Z") <= cap
+
+
 def test_flipped_shadow_mode_approaches_exact():
     rng = np.random.default_rng(3)
     pts = EVAL_POINTS_1D

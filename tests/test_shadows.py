@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsolve import circuits, shadows
-from dqsolve.pauli import ObservableSum, PauliString, identity_string
-from dqsolve.statevector import StateVector, expectation, zero_state
+from dqsolve.pauli import ObservableSum, PauliString, enumerate_k_local, identity_string
+from dqsolve.statevector import (
+    StateVector,
+    expectation,
+    rotate_to_bases,
+    sample_bitstrings,
+    zero_state,
+)
 
 
 def random_state(rng, n):
@@ -25,6 +31,34 @@ def test_collect_shapes_and_determinism():
     assert np.array_equal(a.bases, b.bases)
     assert np.array_equal(a.signs, b.signs)
     assert set(np.unique(a.signs)) <= {-1, 1}
+
+
+def per_snapshot_collect(state, m_snapshots, rng):
+    """Reference collection: rotate and sample one amplitude row per snapshot."""
+    n = state.n_qubits
+    bases = rng.integers(0, 3, size=(m_snapshots, n), dtype=np.uint8)
+    amps = np.tile(state.amplitudes, (m_snapshots, 1))
+    for q in range(n):
+        for code, letter in enumerate("XY"):
+            rows = bases[:, q] == code
+            if rows.any():
+                amps[rows] = rotate_to_bases(amps[rows], n, "Z" * q + letter + "Z" * (n - q - 1))
+    indices = sample_bitstrings(amps, rng)
+    bits = (indices[:, None] >> np.arange(n)[None, :]) & 1
+    return bases, (1 - 2 * bits).astype(np.int8)
+
+
+@pytest.mark.parametrize("m_snapshots", [1, 7, 551, 5000])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_collect_matches_per_snapshot_sampling(n, m_snapshots):
+    state = random_state(np.random.default_rng(n), n)
+    rng, ref_rng = np.random.default_rng(m_snapshots), np.random.default_rng(m_snapshots)
+    shadow = shadows.collect(state, m_snapshots, rng)
+    bases, signs = per_snapshot_collect(state, m_snapshots, ref_rng)
+    assert shadow.bases.tobytes() == bases.tobytes()
+    assert shadow.signs.tobytes() == signs.tobytes()
+    # same draws in the same order: the generators end in the same state
+    assert rng.random() == ref_rng.random()
 
 
 def test_collect_rejects_empty():
@@ -81,6 +115,48 @@ def test_locality_cap_enforced():
         shadows.estimate_pauli(shadow, PauliString("XYZ"), locality_cap=2)
     # raising the cap admits it
     shadows.estimate_pauli(shadow, PauliString("XYZ"), locality_cap=3)
+
+
+def per_string_values(shadow, pstring):
+    """Reference snapshot values: 3**w times the outcome signs on the support, 0 on a basis mismatch."""
+    values = np.full(shadow.n_snapshots, float(3**pstring.weight))
+    for q, letter in pstring.support():
+        values *= (shadow.bases[:, q] == "XYZ".index(letter)) * shadow.signs[:, q]
+    return values
+
+
+@pytest.mark.parametrize("n_batches", [1, 10, 551])
+def test_sequence_form_matches_the_per_string_loop(n_batches):
+    rng = np.random.default_rng(17)
+    state = random_state(rng, 3)
+    shadow = shadows.collect(state, 551, rng)   # 551 = 10 * 55 + 1: uneven batches
+    # every string of weight <= 2, identity included, in a shuffled order
+    strings = enumerate_k_local(3, 2)
+    strings = [strings[i] for i in np.random.default_rng(n_batches).permutation(len(strings))]
+    together = shadows.estimate_pauli(shadow, strings, n_batches)
+    one_by_one = [shadows.estimate_pauli(shadow, p, n_batches) for p in strings]
+    assert together.shape == (len(strings),)
+    assert together.tobytes() == np.array(one_by_one).tobytes()
+    # both equal the median of np.array_split batch means of the reference values
+    values = shadows.snapshot_values(shadow, strings)
+    reference = [per_string_values(shadow, p) for p in strings]
+    assert values.tobytes() == np.stack(reference, axis=1).tobytes()
+    textbook = [
+        np.median([batch.mean() for batch in np.array_split(ref, n_batches)]) for ref in reference
+    ]
+    assert together.tobytes() == np.array(textbook).tobytes()
+
+
+def test_sequence_form_checks_every_string_and_the_batch_count():
+    state = random_state(np.random.default_rng(0), 3)
+    shadow = shadows.collect(state, 10, np.random.default_rng(0))
+    strings = [PauliString("ZII"), PauliString("XYZ"), PauliString("IIX")]
+    with pytest.raises(ValueError, match="locality cap"):
+        shadows.estimate_pauli(shadow, strings, locality_cap=2)
+    assert shadows.estimate_pauli(shadow, strings, locality_cap=3).shape == (3,)
+    for bad in (0, 11):
+        with pytest.raises(ValueError, match="n_batches"):
+            shadows.estimate_pauli(shadow, strings[::2], n_batches=bad)
 
 
 def test_estimate_observable_is_linear():
