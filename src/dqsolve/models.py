@@ -225,18 +225,16 @@ def mode_expectations(
     batch: int,
     enc_by_dim: dict[int, list[int]],
     mode: tuple[int, ...],
-    observables,
+    readout: Readout,
 ) -> np.ndarray:
-    """Expectations (or their input derivatives) for a list of ObservableSum.
+    """Expectations (or their input derivatives) of every observable of ``readout``.
 
-    ``observables`` may also be a ``Readout`` built from such a list, so that
-    callers evaluating several modes stack the Pauli tables once.  Each shift
-    configuration is simulated as one batch and all its distinct strings are
-    read in one pass; what the protocol is charged does not depend on this.
+    Each shift configuration is simulated as one batch and all its distinct
+    strings are read in one pass; what the protocol is charged does not
+    depend on this.
 
     Returns shape (len(observables), batch).
     """
-    readout = observables if isinstance(observables, Readout) else Readout(observables)
 
     def evaluate(shifts):
         return readout(run_batch(circuit, bindings, batch, shifts=shifts))
@@ -244,18 +242,22 @@ def mode_expectations(
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
 
-def adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices):
-    """d<obs>/d(angle) for each listed rotation gate via a backward sweep.
+def adjoint_gradients(circuit, bindings, batch, readout, shifts, gate_indices):
+    """The value of a one-observable ``readout`` and d<obs>/d(angle) for each
+    listed rotation gate, from one forward run and a backward sweep.
 
-    Numerically identical to the parameter-shift rule (both are exact for
-    Pauli rotations); returns shape (len(gate_indices), batch).
+    Row 0 is ``readout(amps)[0]`` on the forward amplitudes; the gradients,
+    numerically identical to the parameter-shift rule (both are exact for
+    Pauli rotations), follow in the order of ``gate_indices``.  Returns shape
+    (1 + len(gate_indices), batch).
     """
     n = circuit.n_qubits
     amps = run_batch(circuit, bindings, batch, shifts=shifts)
+    value = readout(amps)[0]
+    src, pc = readout.tables
     lam = np.zeros_like(amps)
-    for coef, pstring in obs.terms:
-        src, pc = pauli_action(pstring.letters)
-        lam += coef * pc[None, :] * amps[:, src]
+    for coef, column in readout.terms[0]:
+        lam += coef * pc[column][None, :] * amps[:, src[column]]
     wanted = set(gate_indices)
     grads = {}
     for i in range(len(circuit.gates) - 1, -1, -1):
@@ -263,8 +265,8 @@ def adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices):
         if i in wanted:
             q = gate.qubits[0]
             letters = "I" * q + gate.kind[1] + "I" * (n - q - 1)
-            src, pc = pauli_action(letters)
-            inner = np.einsum("bi,bi->b", np.conj(lam), pc[None, :] * amps[:, src])
+            gen_src, gen_pc = pauli_action(letters)
+            inner = np.einsum("bi,bi->b", np.conj(lam), gen_pc[None, :] * amps[:, gen_src])
             # dU/dtheta U^dag = -i/2 * scale * P on the target qubit
             grads[i] = 2.0 * np.real(-0.5j * inner) * gate.scale
         if i == 0:
@@ -272,14 +274,15 @@ def adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices):
         shift = shifts.get(i) if shifts else None
         circuits.unapply_gate_to_batch(amps, n, gate, bindings, shift)
         circuits.unapply_gate_to_batch(lam, n, gate, bindings, shift)
-    return np.stack([grads[i] for i in gate_indices], axis=0)
+    return np.stack([value] + [grads[i] for i in gate_indices], axis=0)
 
 
-def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, obs, gate_indices):
-    """Gradient of a mode expectation with respect to the listed rotation gates."""
+def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, readout, gate_indices):
+    """A mode expectation of a one-observable ``readout`` (row 0) and its
+    gradient with respect to the listed rotation gates (rows 1..)."""
 
     def evaluate(shifts):
-        return adjoint_gradients(circuit, bindings, batch, obs, shifts, gate_indices)
+        return adjoint_gradients(circuit, bindings, batch, readout, shifts, gate_indices)
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
@@ -298,6 +301,13 @@ def to_charge(n_strings: int, n_points: int, enc_by_dim: dict[int, list[int]], m
 
 def input_param_names(dimension: int) -> tuple[str, ...]:
     return tuple(f"x{d}" for d in range(dimension))
+
+
+def feature_map(n_qubits: int, dimension: int) -> CircuitSpec:
+    """Tower feature map on x0 in 1-D; in 2-D, split between x0 and x1."""
+    if dimension == 1:
+        return circuits.tower_feature_map(n_qubits, "x0")
+    return circuits.split_tower_feature_map(n_qubits, input_param_names(dimension))
 
 
 def _enc_by_dim(circuit: CircuitSpec, dimension: int) -> dict[int, list[int]]:
@@ -326,17 +336,15 @@ class OriginalModel:
         self.n_qubits = n_qubits
         self.eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
         self.dimension = self.eval_points.shape[1]
-        feature = (
-            circuits.tower_feature_map(n_qubits, "x0")
-            if self.dimension == 1
-            else circuits.split_tower_feature_map(n_qubits, input_param_names(self.dimension))
+        self.circuit = circuits.compose(
+            feature_map(n_qubits, self.dimension), circuits.hea(n_qubits, depth, "theta")
         )
-        self.circuit = circuits.compose(feature, circuits.hea(n_qubits, depth, "theta"))
         self.enc_by_dim = _enc_by_dim(self.circuit, self.dimension)
         self.rotation_params = self.circuit.variational_params
         self.param_names = list(self.rotation_params) + ["theta_sc", "theta_sh"]
         self.n_params = len(self.param_names)
         self.observable = pauli.sum_of_z(n_qubits)
+        self.readout = Readout([self.observable])
         self.counter = counter
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -347,16 +355,6 @@ class OriginalModel:
         bindings = _input_bindings(points)
         bindings.update({pid: theta[i] for i, pid in enumerate(self.rotation_params)})
         return bindings
-
-    def _raw_mode(self, points, theta, mode):
-        return mode_expectations(
-            self.circuit,
-            self._bindings(points, theta),
-            points.shape[0],
-            self.enc_by_dim,
-            mode,
-            [self.observable],
-        )[0]
 
     def values(self, params, idx, mode=()):
         return self.values_at(params, self.eval_points[idx], mode, phase=PHASE_EPOCH)
@@ -374,10 +372,10 @@ class OriginalModel:
             n_pts,
             self.enc_by_dim,
             mode,
-            self.observable,
+            self.readout,
             gate_indices,
         )
-        jac[:, :n_rot] = sc * grads.T
+        jac[:, :n_rot] = sc * grads[1:].T
         # charged per the protocol: a parameter-shift pair for every rotation
         # parameter at every point, on top of the mode's own shift structure
         _charge(
@@ -385,8 +383,9 @@ class OriginalModel:
             n_pts * runs_per_point(self.enc_by_dim, mode) * 2 * n_rot,
             PHASE_EPOCH,
         )
-        # the scale/shift columns reuse the already-charged value measurement
-        jac[:, -2] = self._raw_mode(points, theta, mode)
+        # the scale/shift columns reuse the already-charged value measurement,
+        # read off the forward runs of the adjoint sweeps
+        jac[:, -2] = grads[0]
         if len(mode) == 0:
             jac[:, -1] = 1.0
         return jac
@@ -394,7 +393,14 @@ class OriginalModel:
     def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         theta, sc, sh = params[:-2], params[-2], params[-1]
-        raw = self._raw_mode(points, theta, mode)
+        raw = mode_expectations(
+            self.circuit,
+            self._bindings(points, theta),
+            points.shape[0],
+            self.enc_by_dim,
+            mode,
+            self.readout,
+        )[0]
         _charge(self.counter, points.shape[0] * runs_per_point(self.enc_by_dim, mode), phase)
         out = sc * raw
         if len(mode) == 0:
@@ -434,12 +440,9 @@ class TOTable:
 
 def encoding_circuit(n_qubits: int, dimension: int, ub_seed: int = DEFAULT_UB_SEED) -> CircuitSpec:
     """Tower feature map followed by the static random basis change."""
-    feature = (
-        circuits.tower_feature_map(n_qubits, "x0")
-        if dimension == 1
-        else circuits.split_tower_feature_map(n_qubits, input_param_names(dimension))
+    return circuits.compose(
+        feature_map(n_qubits, dimension), circuits.random_basis_unitary(n_qubits, ub_seed)
     )
-    return circuits.compose(feature, circuits.random_basis_unitary(n_qubits, ub_seed))
 
 
 def precompute_to_table(

@@ -10,7 +10,6 @@ collocation grids stay strictly interior to the stated open domain.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 from itertools import product
@@ -350,26 +349,6 @@ def loss_from_values(problem: DEProblem, F, bc_values):
     return l_de + l_bc, l_de, l_bc
 
 
-def loss(problem: DEProblem, trial_models, params_list):
-    """Total training loss: mean squared residual plus summed squared
-    boundary violations."""
-    if len(trial_models) != problem.n_functions:
-        raise ValueError("need one trial model per dependent variable")
-    F, bc_values = gather_values(problem, trial_models, params_list)
-    return loss_from_values(problem, F, bc_values)
-
-
 def mos_from_values(problem: DEProblem, F) -> float:
     refs = problem.reference_values
     return sum(float(np.sum((F[(fn, ())] - ref) ** 2)) for fn, ref in enumerate(refs))
-
-
-def mos(problem: DEProblem, trial_models, params_list) -> float:
-    """Measure of success: summed squared deviation from the reference
-    solution over the collocation grid (diagnostic; not charged)."""
-    F = {}
-    for fn, (model, params) in enumerate(zip(trial_models, params_list)):
-        counter = getattr(model, "counter", None)
-        with counter.paused() if counter is not None else contextlib.nullcontext():
-            F[(fn, ())] = model.values(params, np.arange(problem.grid.size), ())
-    return mos_from_values(problem, F)

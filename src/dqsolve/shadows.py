@@ -18,11 +18,11 @@ snapshot values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ObservableSum, PauliString
+from .pauli import PauliString
 from .statevector import StateVector, rotate_to_bases, sample_bitstrings
 
 BASIS_CODES = "XYZ"
@@ -35,14 +35,13 @@ class ClassicalShadow:
     n_qubits: int
     bases: np.ndarray    # (M, n) uint8 indices into "XYZ"
     signs: np.ndarray    # (M, n) int8, +1 / -1 measurement outcomes
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n_snapshots(self) -> int:
         return self.bases.shape[0]
 
 
-def collect(state: StateVector, m_snapshots: int, rng: np.random.Generator, metadata=None) -> ClassicalShadow:
+def collect(state: StateVector, m_snapshots: int, rng: np.random.Generator) -> ClassicalShadow:
     """Draw ``m_snapshots`` randomized-basis measurements of ``state``."""
     if m_snapshots < 1:
         raise ValueError("need at least one snapshot")
@@ -62,7 +61,7 @@ def collect(state: StateVector, m_snapshots: int, rng: np.random.Generator, meta
     indices = sample_bitstrings(amps, rng, rows=inverse)
     bits = (indices[:, None] >> np.arange(n)[None, :]) & 1
     signs = (1 - 2 * bits).astype(np.int8)
-    return ClassicalShadow(n, bases, signs, dict(metadata or {}))
+    return ClassicalShadow(n, bases, signs)
 
 
 def _as_list(pstrings) -> tuple[list[PauliString], bool]:
@@ -123,16 +122,6 @@ def estimate_pauli(
     return float(estimates[0]) if single else estimates
 
 
-def estimate_observable(
-    shadow: ClassicalShadow,
-    obs: ObservableSum,
-    n_batches: int = 1,
-    locality_cap: int = DEFAULT_LOCALITY_CAP,
-) -> float:
-    estimates = estimate_pauli(shadow, [p for _, p in obs.terms], n_batches, locality_cap)
-    return float(sum(coef * est for (coef, _), est in zip(obs.terms, estimates)))
-
-
 def default_batches(n_observables: int) -> int:
     """Median-of-means batch count: 2 * ceil(log2(2 * #observables))."""
     return 2 * math.ceil(math.log2(2 * max(1, n_observables)))
@@ -154,26 +143,3 @@ class ShadowBudget:
     def snapshots(self, m_points: int, k_order: int) -> int:
         log_term = math.log2(max(2, m_points * (k_order + 1)))
         return math.ceil(self.c0 * 3**self.w_max * log_term / self.eps**self.exponent)
-
-
-def shadow_to_text(shadow: ClassicalShadow) -> str:
-    """Compact line-per-snapshot serialization: basis letters then signs."""
-    lines = [f"# n_qubits={shadow.n_qubits} n_snapshots={shadow.n_snapshots}"]
-    for row in range(shadow.n_snapshots):
-        letters = "".join(BASIS_CODES[b] for b in shadow.bases[row])
-        marks = "".join("+" if s > 0 else "-" for s in shadow.signs[row])
-        lines.append(f"{letters} {marks}")
-    return "\n".join(lines) + "\n"
-
-
-def shadow_from_text(text: str) -> ClassicalShadow:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    bases = []
-    signs = []
-    for line in lines:
-        letters, marks = line.split()
-        bases.append([BASIS_CODES.index(c) for c in letters])
-        signs.append([1 if c == "+" else -1 for c in marks])
-    bases_arr = np.array(bases, dtype=np.uint8)
-    signs_arr = np.array(signs, dtype=np.int8)
-    return ClassicalShadow(bases_arr.shape[1], bases_arr, signs_arr)

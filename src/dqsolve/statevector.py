@@ -242,16 +242,3 @@ def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator, rows=None) -> 
         cum = cum[rows]
     u = rng.random(cum.shape[0])
     return (cum < u[:, None]).sum(axis=1)
-
-
-def measure_in_bases(state: StateVector, bases, rng: np.random.Generator) -> np.ndarray:
-    """Projective measurement of every qubit in its own rotated basis.
-
-    Returns an array of bits (0 = +1 eigenvalue, 1 = -1 eigenvalue), one per
-    qubit; deterministic given the generator state.
-    """
-    if len(bases) != state.n_qubits:
-        raise ConfigurationError("need exactly one basis letter per qubit")
-    rotated = rotate_to_bases(state.amplitudes[None, :], state.n_qubits, bases)
-    index = int(sample_bitstrings(rotated, rng)[0])
-    return np.array([(index >> q) & 1 for q in range(state.n_qubits)], dtype=np.int8)

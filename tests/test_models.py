@@ -89,7 +89,7 @@ def test_mode_expectations_match_the_shift_rule_oracle(dimension, mode, param, o
     points = rng.uniform(0.0, 1.0, (5, dimension))
     got = models.mode_expectations(
         model.circuit, model._bindings(points, theta), len(points), model.enc_by_dim, mode,
-        [model.observable],
+        model.readout,
     )[0]
     for j, point in enumerate(points):
         bindings = {f"x{d}": float(point[d]) for d in range(dimension)}
@@ -104,7 +104,7 @@ def test_mode_expectations_match_direct_simulation():
     strings = pauli.enumerate_k_local(4, 1)
     observables = [pauli.ObservableSum([(1.0, p)]) for p in strings]
     xs = np.array([0.2, 0.6])
-    table = models.mode_expectations(circuit, {"x0": xs}, 2, enc, (), observables)
+    table = models.mode_expectations(circuit, {"x0": xs}, 2, enc, (), models.Readout(observables))
     for j, x in enumerate(xs):
         state = circuits.run(circuit, {"x0": float(x)})
         for i, p in enumerate(strings):
@@ -118,9 +118,47 @@ def test_adjoint_gradients_match_parameter_shift():
     bindings = {"x0": 0.45}
     bindings.update({p: float(rng.uniform(-np.pi, np.pi)) for p in circuit.variational_params})
     gate_indices = [circuit.gate_indices_for(p)[0] for p in circuit.variational_params]
-    adj = models.adjoint_gradients(circuit, bindings, 1, obs, {}, gate_indices)
+    adj = models.adjoint_gradients(circuit, bindings, 1, models.Readout([obs]), {}, gate_indices)
+    assert adj.shape == (1 + len(gate_indices), 1)
+    assert adj[0, 0] == pytest.approx(expectation(circuits.run(circuit, bindings), obs), abs=1e-12)
     psr = differentiation.grad_variational(circuit, bindings, obs)
-    assert np.allclose(adj[:, 0], psr, atol=1e-10)
+    assert np.allclose(adj[1:, 0], psr, atol=1e-10)
+
+
+@pytest.mark.parametrize("dimension, mode", [(1, ()), (1, (0,)), (1, (0, 0)), (2, (1,))])
+def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
+    # row 0 is combined over the shift table exactly as mode_expectations
+    # combines its own runs, so the two agree bit for bit
+    model = models.OriginalModel(4, 2, np.zeros((1, dimension)))
+    rng = np.random.default_rng(3)
+    theta = rng.uniform(-np.pi, np.pi, len(model.rotation_params))
+    points = rng.uniform(0.0, 1.0, (6, dimension))
+    bindings = model._bindings(points, theta)
+    gate_indices = [model.circuit.gate_indices_for(p)[0] for p in model.rotation_params]
+    stacked = models.mode_variational_grads(
+        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.readout, gate_indices
+    )
+    assert stacked.shape == (1 + len(gate_indices), len(points))
+    expected = models.mode_expectations(
+        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.readout
+    )[0]
+    assert np.array_equal(stacked[0], expected)
+
+
+@pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
+def test_original_jacobian_runs_each_shift_configuration_once(monkeypatch, dimension, mode, runs):
+    model = models.OriginalModel(4, 1, np.full((5, dimension), 0.3))
+    assert models.runs_per_point(model.enc_by_dim, mode) == runs
+    calls = []
+    run_batch = models.run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(models, "run_batch", counted)
+    model.jacobian(model.init_params(np.random.default_rng(0)), np.arange(5), mode)
+    assert len(calls) == runs
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ def exact_stub(problem, fn):
 def test_loss_vanishes_at_exact_solution():
     problem = problems.damped_oscillator()
     stub = exact_stub(problem, 0)
-    total, l_de, l_bc = problems.loss(problem, [stub], [np.zeros(2)])
+    F, bc_values = problems.gather_values(problem, [stub], [np.zeros(2)])
+    total, l_de, l_bc = problems.loss_from_values(problem, F, bc_values)
     assert total == pytest.approx(0.0, abs=1e-18)
     assert l_de >= 0.0 and l_bc >= 0.0
 
@@ -193,7 +194,8 @@ def test_loss_is_nonnegative_and_additive():
     m = problem.grid.size
     arrays = {mode: np.ones(m + 1) for mode in problem.all_modes}
     stub = TableModel(arrays)
-    total, l_de, l_bc = problems.loss(problem, [stub], [np.zeros(2)])
+    F, bc_values = problems.gather_values(problem, [stub], [np.zeros(2)])
+    total, l_de, l_bc = problems.loss_from_values(problem, F, bc_values)
     assert total == pytest.approx(l_de + l_bc)
     assert l_de > 0.0
     assert l_bc == pytest.approx(0.0)  # boundary target for f(0) is 1
@@ -202,7 +204,8 @@ def test_loss_is_nonnegative_and_additive():
 def test_mos_zero_at_exact_solution():
     problem = problems.coupled_oscillators()
     stubs = [exact_stub(problem, 0), exact_stub(problem, 1)]
-    value = problems.mos(problem, stubs, [np.zeros(2), np.zeros(2)])
+    F, _ = problems.gather_values(problem, stubs, [np.zeros(2), np.zeros(2)])
+    value = problems.mos_from_values(problem, F)
     assert value == pytest.approx(0.0, abs=1e-18)
 
 
@@ -210,5 +213,6 @@ def test_mos_counts_squared_deviation():
     problem = problems.damped_oscillator(m=5)
     stub = exact_stub(problem, 0)
     stub.arrays[()] = stub.arrays[()] + 0.1
-    value = problems.mos(problem, [stub], [np.zeros(2)])
+    F, _ = problems.gather_values(problem, [stub], [np.zeros(2)])
+    value = problems.mos_from_values(problem, F)
     assert value == pytest.approx(5 * 0.01, abs=1e-12)

@@ -56,7 +56,9 @@ def test_mode_expectations_sum_terms_in_order():
     ]
     bindings = {"x0": POINTS[:, 0]}
     for mode in MODES:
-        got = models.mode_expectations(circuit, bindings, len(POINTS), enc, mode, observables)
+        got = models.mode_expectations(
+            circuit, bindings, len(POINTS), enc, mode, models.Readout(observables)
+        )
 
         def evaluate(shifts):
             amps = models.run_batch(circuit, bindings, len(POINTS), shifts=shifts)

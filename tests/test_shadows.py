@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsolve import circuits, shadows
-from dqsolve.pauli import ObservableSum, PauliString, enumerate_k_local, identity_string
+from dqsolve.pauli import PauliString, enumerate_k_local, identity_string
 from dqsolve.statevector import (
     StateVector,
     expectation,
@@ -159,17 +159,6 @@ def test_sequence_form_checks_every_string_and_the_batch_count():
             shadows.estimate_pauli(shadow, strings[::2], n_batches=bad)
 
 
-def test_estimate_observable_is_linear():
-    rng = np.random.default_rng(9)
-    state = random_state(rng, 2)
-    shadow = shadows.collect(state, 500, rng)
-    a = PauliString("ZI")
-    b = PauliString("IX")
-    obs = ObservableSum([(2.0, a), (-1.0, b)])
-    expected = 2.0 * shadows.estimate_pauli(shadow, a) - shadows.estimate_pauli(shadow, b)
-    assert shadows.estimate_observable(shadow, obs) == pytest.approx(expected)
-
-
 def test_median_of_means_bounds_outliers():
     rng = np.random.default_rng(11)
     state = zero_state(2)  # <ZZ> = 1 exactly
@@ -194,13 +183,3 @@ def test_budget_scales_logarithmically():
     # halving eps with the square-exponent quadruples the budget
     tight = shadows.ShadowBudget(eps=0.5)
     assert tight.snapshots(20, 1) == pytest.approx(4 * m20, rel=0.01)
-
-
-def test_text_round_trip():
-    rng = np.random.default_rng(13)
-    state = random_state(rng, 3)
-    shadow = shadows.collect(state, 25, rng)
-    clone = shadows.shadow_from_text(shadows.shadow_to_text(shadow))
-    assert np.array_equal(clone.bases, shadow.bases)
-    assert np.array_equal(clone.signs, shadow.signs)
-    assert clone.n_qubits == shadow.n_qubits
