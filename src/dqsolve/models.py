@@ -33,7 +33,6 @@ from .circuits import CircuitSpec, run_batch
 from .statevector import (
     ConfigurationError,
     StateVector,
-    pauli_action,
     pauli_expectation_batch,
     pauli_tables,
 )
@@ -218,6 +217,15 @@ class Readout:
             rows.append(total)
         return np.stack(rows, axis=0)
 
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """C|psi> on every row, C the first observable (the only one of a
+        one-observable readout): the co-state an adjoint sweep starts from."""
+        src, pc = self.tables
+        out = np.zeros_like(amps)
+        for coef, column in self.terms[0]:
+            out += coef * pc[column][None, :] * amps[:, src[column]]
+        return out
+
 
 def mode_expectations(
     circuit: CircuitSpec,
@@ -242,49 +250,124 @@ def mode_expectations(
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
 
-def adjoint_gradients(circuit, bindings, batch, readout, shifts, gate_indices):
-    """The value of a one-observable ``readout`` and d<obs>/d(angle) for each
-    listed rotation gate, from one forward run and a backward sweep.
+def rotation_generators(circuit: CircuitSpec, gate_indices) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pauli_tables`` of the Pauli generator of each listed rotation gate."""
+    n = circuit.n_qubits
+    letters = []
+    for i in gate_indices:
+        gate = circuit.gates[i]
+        q = gate.qubits[0]
+        letters.append("I" * q + gate.kind[1] + "I" * (n - q - 1))
+    return pauli_tables(letters)
 
-    Row 0 is ``readout(amps)[0]`` on the forward amplitudes; the gradients,
-    numerically identical to the parameter-shift rule (both are exact for
-    Pauli rotations), follow in the order of ``gate_indices``.  Returns shape
-    (1 + len(gate_indices), batch).
+
+def adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts=None, generators=None):
+    """One backward sweep from final states ``amps`` and co-states ``lam``.
+
+    Returns G[k, r] = 2 Re(-i/2 <lam_r|P_k amps_r>) * scale_k for each listed
+    rotation gate k (generator P_k) and row r, shape (len(gate_indices),
+    rows), with both stacks swept back to just after gate k.  With lam = C|a>
+    this is d<a|C|a>/d(angle_k), exactly what the parameter-shift rule gives;
+    with lam = C|b> it is the a-side of d Re<a|C|b>/d(angle_k).  Both arrays
+    are swept back in place.  ``generators`` is ``rotation_generators`` of the
+    listed gates, built here if not given.
     """
     n = circuit.n_qubits
-    amps = run_batch(circuit, bindings, batch, shifts=shifts)
-    value = readout(amps)[0]
-    src, pc = readout.tables
-    lam = np.zeros_like(amps)
-    for coef, column in readout.terms[0]:
-        lam += coef * pc[column][None, :] * amps[:, src[column]]
-    wanted = set(gate_indices)
-    grads = {}
-    for i in range(len(circuit.gates) - 1, -1, -1):
+    if generators is None:
+        generators = rotation_generators(circuit, gate_indices)
+    gen_src, gen_pc = generators
+    position = {g: k for k, g in enumerate(gate_indices)}
+    shifts = shifts or {}
+    first = min(gate_indices)
+    grads = np.empty((len(gate_indices), amps.shape[0]))
+    for i in range(len(circuit.gates) - 1, first - 1, -1):
         gate = circuit.gates[i]
-        if i in wanted:
-            q = gate.qubits[0]
-            letters = "I" * q + gate.kind[1] + "I" * (n - q - 1)
-            gen_src, gen_pc = pauli_action(letters)
-            inner = np.einsum("bi,bi->b", np.conj(lam), gen_pc[None, :] * amps[:, gen_src])
+        k = position.get(i)
+        if k is not None:
+            inner = np.einsum("bi,bi->b", np.conj(lam), gen_pc[k][None, :] * amps[:, gen_src[k]])
             # dU/dtheta U^dag = -i/2 * scale * P on the target qubit
-            grads[i] = 2.0 * np.real(-0.5j * inner) * gate.scale
-        if i == 0:
-            break
-        shift = shifts.get(i) if shifts else None
-        circuits.unapply_gate_to_batch(amps, n, gate, bindings, shift)
-        circuits.unapply_gate_to_batch(lam, n, gate, bindings, shift)
-    return np.stack([value] + [grads[i] for i in gate_indices], axis=0)
+            grads[k] = 2.0 * np.real(-0.5j * inner) * gate.scale
+        if i > first:
+            circuits.unapply_gate_to_batch(amps, n, gate, bindings, shifts.get(i))
+            circuits.unapply_gate_to_batch(lam, n, gate, bindings, shifts.get(i))
+    return grads
 
 
 def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, readout, gate_indices):
     """A mode expectation of a one-observable ``readout`` (row 0) and its
-    gradient with respect to the listed rotation gates (rows 1..)."""
+    gradient with respect to the listed rotation gates (rows 1..), one
+    adjoint sweep per shift configuration: the shift-rule reference for the
+    original model's jets."""
+    generators = rotation_generators(circuit, gate_indices)
 
     def evaluate(shifts):
-        return adjoint_gradients(circuit, bindings, batch, readout, shifts, gate_indices)
+        amps = run_batch(circuit, bindings, batch, shifts=shifts)
+        value = readout(amps)[0]
+        grads = adjoint_gradients(
+            circuit, bindings, amps, readout.apply(amps), gate_indices, shifts, generators
+        )
+        return np.vstack([value[None, :], grads])
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
+
+
+# ---------------------------------------------------------------------------
+# exact input-derivative jets
+
+
+def _encoder_length(circuit: CircuitSpec) -> int:
+    """Length of the input-bound prefix; every input-bound gate must sit in it
+    and be an RX."""
+    bound = [i for i, g in enumerate(circuit.gates) if g.param in circuit.input_params]
+    if bound != list(range(len(bound))) or any(circuit.gates[i].kind != "RX" for i in bound):
+        raise ConfigurationError(
+            "input-derivative jets need the input-bound gates to form an RX-only prefix"
+        )
+    return len(bound)
+
+
+def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets) -> np.ndarray:
+    """The states U * d^J phi for every jet J of ``jets``, stacked jet-major:
+    rows j*batch .. (j+1)*batch - 1 hold ``jets[j]``.  Shape (len(jets)*batch, 2**n).
+
+    phi is the state the circuit's input-bound prefix prepares and U the rest
+    of the circuit; a jet is a tuple of input dimensions, like a mode, with
+    () the state itself.  Every prefix gate is RX(s_j * x_d) and X commutes
+    with RX, so d_d phi = sum over j in enc(d) of (-i s_j / 2) X_j phi,
+    exactly; higher jets apply this once per entry.
+    """
+    n = circuit.n_qubits
+    length = _encoder_length(circuit)
+    prefix = CircuitSpec(n, circuit.gates[:length], input_params=circuit.input_params)
+    index = np.arange(2**n)
+    derived = {(): run_batch(prefix, bindings, batch)}
+    for jet in map(tuple, jets):
+        for order in range(1, len(jet) + 1):
+            if jet[:order] not in derived:
+                lower = derived[jet[: order - 1]]
+                out = np.zeros_like(lower)
+                for g in enc_by_dim[jet[order - 1]]:
+                    gate = circuit.gates[g]
+                    out += (-0.5j * gate.scale) * lower[:, index ^ (1 << gate.qubits[0])]
+                derived[jet[:order]] = out
+    amps = np.concatenate([derived[tuple(jet)] for jet in jets])
+    for gate in circuit.gates[length:]:
+        circuits.apply_gate_to_batch(amps, n, gate, bindings)
+    return amps
+
+
+def jet_terms(mode: tuple[int, ...]) -> list:
+    """An input derivative as (w, u, v) triples: f = sum of w * Re<psi_u|C|psi_v>
+    over jets u, v.  Only orders up to two occur in the problems."""
+    mode = tuple(mode)
+    if not mode:
+        return [(1.0, (), ())]
+    if len(mode) == 1:
+        return [(2.0, mode, ())]
+    if len(mode) == 2:
+        d, e = mode
+        return [(2.0, mode, ()), (1.0, (d,), (e,)), (1.0, (e,), (d,))]
+    raise ConfigurationError(f"input derivatives above second order are not supported: {mode}")
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -329,12 +412,16 @@ class OriginalModel:
     followed by a hardware-efficient ansatz, with C the total-Z cost operator.
 
     Charges one evaluation per distinct expectation, including every
-    parameter-shift evaluation.
+    parameter-shift evaluation.  The simulator computes the input derivatives
+    at the fixed evaluation points as exact jets instead (``jet_states``),
+    gathered once per parameter vector.
     """
 
     def __init__(self, n_qubits: int, depth: int, eval_points: np.ndarray, counter=None):
         self.n_qubits = n_qubits
-        self.eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
+        # a private read-only copy: the jet gather below depends on it
+        self.eval_points = np.atleast_2d(np.array(eval_points, dtype=np.float64))
+        self.eval_points.flags.writeable = False
         self.dimension = self.eval_points.shape[1]
         self.circuit = circuits.compose(
             feature_map(n_qubits, self.dimension), circuits.hea(n_qubits, depth, "theta")
@@ -345,7 +432,13 @@ class OriginalModel:
         self.n_params = len(self.param_names)
         self.observable = pauli.sum_of_z(n_qubits)
         self.readout = Readout([self.observable])
+        self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
+        self.generators = rotation_generators(self.circuit, self.gate_indices)
         self.counter = counter
+        # the rotation angles the jets were gathered at, and per jet the final
+        # states psi_J and C psi_J at every evaluation point
+        self._gather_key = None
+        self._jets: dict = {}
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         theta = rng.uniform(-np.pi, np.pi, size=len(self.rotation_params))
@@ -356,26 +449,67 @@ class OriginalModel:
         bindings.update({pid: theta[i] for i, pid in enumerate(self.rotation_params)})
         return bindings
 
+    def _gather(self, theta, mode):
+        """Final jet states at every evaluation point for the mode's terms,
+        simulating the jets this parameter vector has not run yet."""
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key != self._gather_key:
+            self._gather_key, self._jets = key, {}
+        needed = dict.fromkeys(jet for _w, u, v in jet_terms(mode) for jet in (u, v))
+        missing = [jet for jet in needed if jet not in self._jets]
+        if missing:
+            n_pts = self.eval_points.shape[0]
+            amps = jet_states(
+                self.circuit, self.enc_by_dim, self._bindings(self.eval_points, theta), n_pts, missing
+            )
+            lam = self.readout.apply(amps)
+            for j, jet in enumerate(missing):
+                rows = slice(j * n_pts, (j + 1) * n_pts)
+                self._jets[jet] = (amps[rows], lam[rows])
+        return self._jets
+
+    def _raw(self, theta, idx, mode):
+        """The mode's input derivative of <C> at the evaluation points ``idx``."""
+        jets = self._gather(theta, mode)
+        return sum(
+            w * np.einsum("bi,bi->b", np.conj(jets[u][0][idx]), jets[v][1][idx]).real
+            for w, u, v in jet_terms(mode)
+        )
+
+    @staticmethod
+    def _scaled(params, raw, mode):
+        """scale * raw, plus the shift on plain values."""
+        out = params[-2] * raw
+        return out + params[-1] if len(mode) == 0 else out
+
     def values(self, params, idx, mode=()):
-        return self.values_at(params, self.eval_points[idx], mode, phase=PHASE_EPOCH)
+        raw = self._raw(params[:-2], idx, mode)
+        _charge(self.counter, len(raw) * runs_per_point(self.enc_by_dim, mode), PHASE_EPOCH)
+        return self._scaled(params, raw, mode)
 
     def jacobian(self, params, idx, mode=()):
-        points = self.eval_points[idx]
-        theta, sc, _sh = params[:-2], params[-2], params[-1]
-        n_pts = points.shape[0]
+        theta, sc = params[:-2], params[-2]
+        jets = self._gather(theta, mode)
         n_rot = len(self.rotation_params)
-        jac = np.zeros((n_pts, self.n_params))
-        gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
-        grads = mode_variational_grads(
+        # d Re<psi_u|C psi_v> = (G(C psi_v, psi_u) + G(C psi_u, psi_v)) / 2 with G
+        # the sweep of adjoint_gradients: one (state, co-state) block per side,
+        # equal blocks merged, all swept together
+        blocks: dict = {}
+        for w, u, v in jet_terms(mode):
+            for a, b in ((u, v), (v, u)):
+                blocks[a, b] = blocks.get((a, b), 0.0) + w / 2.0
+        grads = adjoint_gradients(
             self.circuit,
-            self._bindings(points, theta),
-            n_pts,
-            self.enc_by_dim,
-            mode,
-            self.readout,
-            gate_indices,
+            self._bindings(self.eval_points[idx], theta),
+            np.concatenate([jets[a][0][idx] for a, _b in blocks]),
+            np.concatenate([jets[b][1][idx] for _a, b in blocks]),
+            self.gate_indices,
+            generators=self.generators,
         )
-        jac[:, :n_rot] = sc * grads[1:].T
+        weights = np.array(list(blocks.values()))
+        n_pts = grads.shape[1] // len(blocks)
+        jac = np.zeros((n_pts, self.n_params))
+        jac[:, :n_rot] = sc * np.einsum("c,kcb->bk", weights, grads.reshape(n_rot, len(blocks), n_pts))
         # charged per the protocol: a parameter-shift pair for every rotation
         # parameter at every point, on top of the mode's own shift structure
         _charge(
@@ -383,29 +517,24 @@ class OriginalModel:
             n_pts * runs_per_point(self.enc_by_dim, mode) * 2 * n_rot,
             PHASE_EPOCH,
         )
-        # the scale/shift columns reuse the already-charged value measurement,
-        # read off the forward runs of the adjoint sweeps
-        jac[:, -2] = grads[0]
+        # the scale/shift columns reuse the already-charged value measurement
+        jac[:, -2] = self._raw(theta, idx, mode)
         if len(mode) == 0:
             jac[:, -1] = 1.0
         return jac
 
     def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        theta, sc, sh = params[:-2], params[-2], params[-1]
         raw = mode_expectations(
             self.circuit,
-            self._bindings(points, theta),
+            self._bindings(points, params[:-2]),
             points.shape[0],
             self.enc_by_dim,
             mode,
             self.readout,
         )[0]
         _charge(self.counter, points.shape[0] * runs_per_point(self.enc_by_dim, mode), phase)
-        out = sc * raw
-        if len(mode) == 0:
-            out = out + sh
-        return out
+        return self._scaled(params, raw, mode)
 
 
 # ---------------------------------------------------------------------------

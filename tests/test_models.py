@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
-from dqsolve import circuits, differentiation, models, pauli, problems, shadows
-from dqsolve.statevector import StateVector, expectation, pauli_expectation_batch, pauli_tables
+from dqsolve import circuits, differentiation, models, pauli, problems, shadows, training
+from dqsolve.statevector import (
+    ConfigurationError,
+    StateVector,
+    expectation,
+    pauli_expectation_batch,
+    pauli_tables,
+)
 from dqsolve.training import EvalCounter
 
 EVAL_POINTS_1D = np.linspace(0.05, 0.95, 7)[:, None]
@@ -118,11 +124,12 @@ def test_adjoint_gradients_match_parameter_shift():
     bindings = {"x0": 0.45}
     bindings.update({p: float(rng.uniform(-np.pi, np.pi)) for p in circuit.variational_params})
     gate_indices = [circuit.gate_indices_for(p)[0] for p in circuit.variational_params]
-    adj = models.adjoint_gradients(circuit, bindings, 1, models.Readout([obs]), {}, gate_indices)
-    assert adj.shape == (1 + len(gate_indices), 1)
-    assert adj[0, 0] == pytest.approx(expectation(circuits.run(circuit, bindings), obs), abs=1e-12)
+    amps = circuits.run_batch(circuit, bindings, 1)
+    lam = models.Readout([obs]).apply(amps)
+    adj = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices)
+    assert adj.shape == (len(gate_indices), 1)
     psr = differentiation.grad_variational(circuit, bindings, obs)
-    assert np.allclose(adj[1:, 0], psr, atol=1e-10)
+    assert np.allclose(adj[:, 0], psr, atol=1e-10)
 
 
 @pytest.mark.parametrize("dimension, mode", [(1, ()), (1, (0,)), (1, (0, 0)), (2, (1,))])
@@ -145,20 +152,103 @@ def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
     assert np.array_equal(stacked[0], expected)
 
 
-@pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
-def test_original_jacobian_runs_each_shift_configuration_once(monkeypatch, dimension, mode, runs):
-    model = models.OriginalModel(4, 1, np.full((5, dimension), 0.3))
-    assert models.runs_per_point(model.enc_by_dim, mode) == runs
-    calls = []
-    run_batch = models.run_batch
+JET_MODES = [(1, ()), (1, (0,)), (1, (0, 0)), (2, ()), (2, (0,)), (2, (1,)), (2, (0, 0)),
+             (2, (0, 1)), (2, (1, 1))]
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+
+@pytest.mark.parametrize("dimension, mode", JET_MODES)
+def test_original_jets_match_the_shift_rule_reference(dimension, mode):
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 1.0, (6, dimension))
+    model = models.OriginalModel(4, 2, points)
+    params = model.init_params(rng)
+    params[-2:] = [1.7, -0.4]
+    theta, idx = params[:-2], np.array([4, 0, 2])
+    bindings = model._bindings(points[idx], theta)
+    shift_values = models.mode_expectations(
+        model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.readout
+    )[0]
+    stacked = models.mode_variational_grads(
+        model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.readout, model.gate_indices
+    )
+    values = model.values(params, idx, mode)
+    jac = model.jacobian(params, idx, mode)
+    shift = 0.0 if mode else params[-1]
+    assert np.allclose(values, params[-2] * shift_values + shift, rtol=0.0, atol=1e-10)
+    assert np.allclose(jac[:, :-2], params[-2] * stacked[1:].T, rtol=0.0, atol=1e-10)
+    assert np.allclose(jac[:, -2], shift_values, rtol=0.0, atol=1e-10)
+    assert np.array_equal(jac[:, -1], np.full(len(idx), 0.0 if mode else 1.0))
+    if len(set(mode)) == 1:
+        # d_dx writes the parameter-shift rule out on its own, one point at a time
+        for row, i in enumerate(idx):
+            point = {f"x{d}": float(points[i, d]) for d in range(dimension)}
+            point.update(zip(model.rotation_params, theta))
+            oracle = differentiation.d_dx(
+                model.circuit, point, model.observable, f"x{mode[0]}", len(mode)
+            )
+            assert values[row] == pytest.approx(params[-2] * oracle, abs=1e-10)
+
+
+def test_original_gather_follows_the_parameters():
+    points = np.random.default_rng(2).uniform(0.0, 1.0, (5, 2))
+    model = models.OriginalModel(4, 1, points)
+    rng = np.random.default_rng(9)
+    theta_a, theta_b = model.init_params(rng), model.init_params(rng)
+    idx = np.arange(5)
+
+    def fresh(params, mode):
+        return models.OriginalModel(4, 1, points).values(params, idx, mode)
+
+    first = {mode: model.values(theta_a, idx, mode) for mode in [(), (1,)]}
+    for params in (theta_b, theta_a):
+        for mode in [(), (1,)]:
+            assert np.array_equal(model.values(params, idx, mode), fresh(params, mode))
+    for mode in [(), (1,)]:
+        assert np.array_equal(model.values(theta_a, idx, mode), first[mode])
+
+
+def test_original_model_keeps_its_own_evaluation_points():
+    points = np.random.default_rng(4).uniform(0.0, 1.0, (5, 1))
+    model = models.OriginalModel(3, 1, points)
+    params = model.init_params(np.random.default_rng(0))
+    before = model.values(params, np.arange(5), (0,))
+    points += 0.25   # a caller's in-place edit of the array it passed in
+    assert np.array_equal(model.values(params, np.arange(5), (0,)), before)
+    with pytest.raises(ValueError):
+        model.eval_points[0, 0] = 0.0
+
+
+def test_jet_states_need_an_rx_input_prefix():
+    ansatz_first = circuits.compose(circuits.hea(2, 1), circuits.tower_feature_map(2, "x0"))
+    with pytest.raises(ConfigurationError):
+        models.jet_states(ansatz_first, {0: [6, 7]}, {"x0": 0.3}, 1, [()])
+
+
+def test_loss_gradients_runs_one_forward_per_jet(monkeypatch):
+    problem = problems.twod_linear(3)
+    counter = EvalCounter()
+    model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
+    params = [model.init_params(np.random.default_rng(0))]
+    runs, sweeps = [], []
+    run_batch, adjoint_gradients = models.run_batch, models.adjoint_gradients
+
+    def counted_run(*args, **kwargs):
+        runs.append(1)
         return run_batch(*args, **kwargs)
 
-    monkeypatch.setattr(models, "run_batch", counted)
-    model.jacobian(model.init_params(np.random.default_rng(0)), np.arange(5), mode)
-    assert len(calls) == runs
+    def counted_sweep(*args, **kwargs):
+        sweeps.append(1)
+        return adjoint_gradients(*args, **kwargs)
+
+    monkeypatch.setattr(models, "run_batch", counted_run)
+    monkeypatch.setattr(models, "adjoint_gradients", counted_sweep)
+    training.loss_gradients(problem, [model], params)
+    assert problem.all_modes == ((), (1,))
+    assert len(runs) == 2     # one forward per jet of all_modes
+    assert len(sweeps) == 2   # the grid Jacobian at (1,) and the boundary one at ()
+    assert counter.breakdown["per_epoch"] == training.expected_charges(problem, [model])["per_epoch"]
+    training.loss_gradients(problem, [model], params)
+    assert len(runs) == 2     # the same parameters reuse the gathered jets
 
 
 # ---------------------------------------------------------------------------
