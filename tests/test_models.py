@@ -224,6 +224,27 @@ def test_jet_states_need_an_rx_input_prefix():
         models.jet_states(ansatz_first, {0: [6, 7]}, {"x0": 0.3}, 1, [()])
 
 
+@pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
+def test_original_jacobian_runs_each_shift_configuration_once(monkeypatch, dimension, mode, runs):
+    """The accountant charges each of the mode's ``runs`` shift configurations once
+    per point and rotation shift pair; the simulator covers all of them with one
+    forward of the mode's jets."""
+    counter = EvalCounter()
+    model = models.OriginalModel(4, 1, np.full((5, dimension), 0.3), counter=counter)
+    assert models.runs_per_point(model.enc_by_dim, mode) == runs
+    calls = []
+    run_batch = models.run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(models, "run_batch", counted)
+    model.jacobian(model.init_params(np.random.default_rng(0)), np.arange(5), mode)
+    assert len(calls) == 1
+    assert counter.breakdown["per_epoch"] == 5 * runs * 2 * len(model.rotation_params)
+
+
 def test_loss_gradients_runs_one_forward_per_jet(monkeypatch):
     problem = problems.twod_linear(3)
     counter = EvalCounter()
