@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, fields
 
 # one error class for every layer: the circuits and the statevector raise it too
@@ -67,12 +68,15 @@ class RunConfig:
             raise ConfigurationError("depth must be at least 1")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be positive")
+        # comparisons with nan are false, so "not 0 < x" rejects nan too
+        if not 0 < self.lr < math.inf:
+            raise ConfigurationError(f"lr must be positive and finite; got {self.lr}")
+        if not math.isfinite(self.stop_loss):
+            raise ConfigurationError(f"stop_loss must be finite; got {self.stop_loss}")
         if self.grid_m < 0:
             raise ConfigurationError("grid_m must be nonnegative (0 = default)")
-        if self.shadow_eps <= 0 or self.shadow_c0 <= 0:
-            raise ConfigurationError("shadow budget constants must be positive")
+        if not (0 < self.shadow_eps < math.inf and 0 < self.shadow_c0 < math.inf):
+            raise ConfigurationError("shadow budget constants must be positive and finite")
         if self.observables == "all" and self.n_qubits > 6:
             raise ConfigurationError("the full Pauli candidate set needs n_qubits <= 6")
         return self

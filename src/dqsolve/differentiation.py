@@ -13,10 +13,11 @@ These functions evaluate one expectation per shifted circuit; an optional
 ``counter`` is charged one unit per expectation, matching the evaluation
 accounting used by the training module.
 
-The module is the independent parameter-shift oracle: the models evaluate
-input derivatives through one table, ``models.shift_rule``, and the tests
-check that table's results against ``d_dx`` here, which writes the rule
-out on its own.
+The module is the independent parameter-shift oracle.  The models compute
+every input derivative from exact jets (``models.jet_states``) and use the
+parameter-shift table, ``models.shift_rule``, only to charge for it; the
+tests check the jets against ``d_dx`` here, which writes the rule out on
+its own.
 """
 
 from __future__ import annotations

@@ -141,8 +141,8 @@ def basis_matrix(u: np.ndarray, count: int, kind: str, dorders: tuple[int, ...])
 
 
 # ---------------------------------------------------------------------------
-# shared machinery: expectation of observables through an encoding circuit,
-# differentiated with respect to the input via the parameter-shift rule
+# shared machinery: input derivatives of expectations through an encoding
+# circuit.  The parameter-shift rule only charges; exact jets compute values.
 
 
 def shift_rule(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> list:
@@ -171,12 +171,9 @@ def _combine_over_mode(circuit, enc_by_dim, mode, evaluate):
     """Sum shifted evaluations into an input derivative of the given mode.
 
     ``evaluate(shifts)`` returns an array; the corners of ``shift_rule`` say
-    which shifts to evaluate and with which sign.
+    which shifts to evaluate and with which sign.  This is the shift-rule
+    reference the tests hold the jets to; no production path calls it.
     """
-    if not mode:
-        # the table's single corner (1, {}) at scale 1: return the evaluation
-        # itself rather than two scaled copies of it
-        return evaluate({})
     total = None
     for gates, corners in shift_rule(enc_by_dim, mode):
         corner = None
@@ -204,9 +201,10 @@ class Readout:
         self.direct = all(terms == [(1.0, j)] for j, terms in enumerate(self.terms))
         self.tables = pauli_tables(list(columns))
 
-    def __call__(self, amps: np.ndarray) -> np.ndarray:
-        """Expectations of every observable on every row; shape (len(observables), batch)."""
-        vals = pauli_expectation_batch(amps, self.tables)  # (batch, distinct strings)
+    def __call__(self, amps: np.ndarray, bra=None) -> np.ndarray:
+        """Expectations of every observable on every row, or Re<bra|C|psi> with
+        the rows ``bra`` given; shape (len(observables), batch)."""
+        vals = pauli_expectation_batch(amps, self.tables, bra)  # (batch, distinct strings)
         if self.direct:
             return vals.T
         rows = []
@@ -225,29 +223,6 @@ class Readout:
         for coef, column in self.terms[0]:
             out += coef * pc[column][None, :] * amps[:, src[column]]
         return out
-
-
-def mode_expectations(
-    circuit: CircuitSpec,
-    bindings: dict,
-    batch: int,
-    enc_by_dim: dict[int, list[int]],
-    mode: tuple[int, ...],
-    readout: Readout,
-) -> np.ndarray:
-    """Expectations (or their input derivatives) of every observable of ``readout``.
-
-    Each shift configuration is simulated as one batch and all its distinct
-    strings are read in one pass; what the protocol is charged does not
-    depend on this.
-
-    Returns shape (len(observables), batch).
-    """
-
-    def evaluate(shifts):
-        return readout(run_batch(circuit, bindings, batch, shifts=shifts))
-
-    return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
 
 
 def rotation_generators(circuit: CircuitSpec, gate_indices) -> tuple[np.ndarray, np.ndarray]:
@@ -368,6 +343,33 @@ def jet_terms(mode: tuple[int, ...]) -> list:
         d, e = mode
         return [(2.0, mode, ()), (1.0, (d,), (e,)), (1.0, (e,), (d,))]
     raise ConfigurationError(f"input derivatives above second order are not supported: {mode}")
+
+
+def mode_expectations(
+    circuit: CircuitSpec,
+    bindings: dict,
+    batch: int,
+    enc_by_dim: dict[int, list[int]],
+    mode: tuple[int, ...],
+    readout: Readout,
+) -> np.ndarray:
+    """Expectations (or their input derivatives) of every observable of ``readout``.
+
+    Exact jets compute every value: the distinct jets of ``jet_terms(mode)``
+    run as one stacked batch (``jet_states``), and each term
+    w * Re<psi_u|C|psi_v> reads all distinct strings in one pass.
+    ``shift_rule`` only sets what the protocol is charged for them.
+
+    Returns shape (len(observables), batch).
+    """
+    terms = jet_terms(mode)
+    jets = list(dict.fromkeys(jet for _w, u, v in terms for jet in (u, v)))
+    amps = jet_states(circuit, enc_by_dim, bindings, batch, jets)
+    if not mode:
+        return readout(amps)
+    rows = {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
+    # a Hermitian read (u == v) keeps its imaginary-part check
+    return sum(w * readout(rows[v], None if u == v else rows[u]) for w, u, v in terms)
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -559,10 +561,6 @@ class TOTable:
         return Readout([pauli.ObservableSum([(1.0, pauli.PauliString(s))]) for s in self.labels])
 
     @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def n_observables(self) -> int:
         return len(self.labels)
 
@@ -586,9 +584,9 @@ def precompute_to_table(
 
     Charges ``to_charge`` (d * n_points * E(mode), summed over modes), the
     full pre-training quantum cost of the trainable-observable protocol: the
-    protocol measures each string separately.  The simulator stacks the d
-    strings' Pauli tables once for all modes and reads all of them in one
-    pass per shift configuration.
+    protocol measures each string separately.  The simulator computes every
+    entry from exact jets (``mode_expectations``), reading the d strings'
+    Pauli tables, stacked once for all modes, in one pass per jet term.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]

@@ -45,10 +45,6 @@ class PauliString:
         return self.letters
 
 
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
-
-
 def enumerate_k_local(n: int, k: int) -> list[PauliString]:
     """All Pauli strings of weight <= k on n qubits, identity included, in canonical order.
 

@@ -33,9 +33,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray  # shape (2**n_qubits,), complex128
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 def zero_state(n: int) -> StateVector:
     """|0...0> on ``n`` qubits."""
@@ -176,27 +173,29 @@ def _real(vals: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def pauli_expectation_batch(amps: np.ndarray, letters) -> np.ndarray:
-    """<psi|P|psi> for every row.
+def pauli_expectation_batch(amps: np.ndarray, letters, bra=None) -> np.ndarray:
+    """<psi|P|psi> for every row, or Re<bra|P|psi> with the rows ``bra`` given.
 
     ``letters`` is either one Pauli string, giving a real array of shape
     (batch,), or the ``pauli_tables`` of d strings, giving a real array of
     shape (batch, d) that reads all of them in one pass.  Both forms contract
     each string the same way, so their values are bit-identical.  The (batch,
     d) result is a transposed view of a string-major array, the layout a
-    per-string loop stacked on axis 0 would give.
+    per-string loop stacked on axis 0 would give.  Only a Hermitian read (no
+    ``bra``) is checked for an imaginary part; a cross term has one by nature.
     """
+    real = _real if bra is None else np.real
+    conj = np.conj(amps if bra is None else bra)
     if isinstance(letters, str):
         src, coef = pauli_action(letters)
-        return _real(np.einsum("bi,bi->b", np.conj(amps), coef[None, :] * amps[:, src]))
+        return real(np.einsum("bi,bi->b", conj, coef[None, :] * amps[:, src]))
     src, coef = letters
     out = np.empty((src.shape[0], amps.shape[0]))
-    conj = np.conj(amps)
     step = max(1, _READOUT_CHUNK // amps.size)
     for lo in range(0, src.shape[0], step):
         part = slice(lo, lo + step)
         gathered = coef[None, part] * amps[:, src[part]]  # (batch, chunk, 2**n)
-        out[part] = _real(np.einsum("bi,bci->bc", conj, gathered)).T
+        out[part] = real(np.einsum("bi,bci->bc", conj, gathered)).T
     return out.T
 
 

@@ -152,6 +152,12 @@ def test_invalid_config_exit_code(tmp_path):
         assert run_cli("run", *fs_shadow, "--epochs", "1",
                        "--out", str(tmp_path / "z")) == cli.EXIT_CONFIG
         assert run_cli("count", *fs_shadow) == cli.EXIT_CONFIG
+    # non-finite numbers are refused too, not left to fail later in a traceback
+    for flag in (["--shadow-eps", "nan"], ["--shadow-c0", "inf"], ["--lr", "nan"],
+                 ["--lr", "inf"], ["--stop-loss", "nan"], ["--stop-loss", "inf"]):
+        fs = ("--problem", "damped_osc", "--variant", "fs", *flag)
+        assert run_cli("run", *fs, "--epochs", "1", "--out", str(tmp_path / "w")) == cli.EXIT_CONFIG
+        assert run_cli("count", *fs) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize(

@@ -134,8 +134,9 @@ def test_adjoint_gradients_match_parameter_shift():
 
 @pytest.mark.parametrize("dimension, mode", [(1, ()), (1, (0,)), (1, (0, 0)), (2, (1,))])
 def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
-    # row 0 is combined over the shift table exactly as mode_expectations
-    # combines its own runs, so the two agree bit for bit
+    # row 0 combines the shift configurations' runs; mode_expectations reads
+    # exact jets.  At mode () both read the one unshifted run, bit for bit;
+    # a derivative is summed another way, so it agrees to rounding only
     model = models.OriginalModel(4, 2, np.zeros((1, dimension)))
     rng = np.random.default_rng(3)
     theta = rng.uniform(-np.pi, np.pi, len(model.rotation_params))
@@ -149,7 +150,10 @@ def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
     expected = models.mode_expectations(
         model.circuit, bindings, len(points), model.enc_by_dim, mode, model.readout
     )[0]
-    assert np.array_equal(stacked[0], expected)
+    if mode:
+        assert np.allclose(stacked[0], expected, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(stacked[0], expected)
 
 
 JET_MODES = [(1, ()), (1, (0,)), (1, (0, 0)), (2, ()), (2, (0,)), (2, (1,)), (2, (0, 0)),
@@ -165,12 +169,10 @@ def test_original_jets_match_the_shift_rule_reference(dimension, mode):
     params[-2:] = [1.7, -0.4]
     theta, idx = params[:-2], np.array([4, 0, 2])
     bindings = model._bindings(points[idx], theta)
-    shift_values = models.mode_expectations(
-        model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.readout
-    )[0]
     stacked = models.mode_variational_grads(
         model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.readout, model.gate_indices
     )
+    shift_values = stacked[0]
     values = model.values(params, idx, mode)
     jac = model.jacobian(params, idx, mode)
     shift = 0.0 if mode else params[-1]
@@ -222,6 +224,40 @@ def test_jet_states_need_an_rx_input_prefix():
     ansatz_first = circuits.compose(circuits.hea(2, 1), circuits.tower_feature_map(2, "x0"))
     with pytest.raises(ConfigurationError):
         models.jet_states(ansatz_first, {0: [6, 7]}, {"x0": 0.3}, 1, [()])
+
+
+@pytest.fixture
+def run_batch_shifts(monkeypatch):
+    """The ``shifts`` argument of every ``run_batch`` call the models make."""
+    seen = []
+    run_batch = models.run_batch
+
+    def recording(circuit, bindings, batch, shifts=None):
+        seen.append(shifts)
+        return run_batch(circuit, bindings, batch, shifts)
+
+    monkeypatch.setattr(models, "run_batch", recording)
+    return seen
+
+
+@pytest.mark.parametrize("dimension, modes", [(1, [(), (0,), (0, 0)]), (2, [(), (1,)])])
+def test_input_derivatives_never_run_a_shifted_circuit(run_batch_shifts, tmp_path, dimension, modes):
+    """The parameter-shift rule only sets the charge: the TO table and the
+    inference of both circuit models, a table read back from disk included,
+    compute every input derivative from exact jets."""
+    rng = np.random.default_rng(7)
+    points, dense = rng.uniform(0.0, 1.0, (4, dimension)), rng.uniform(0.0, 1.0, (3, dimension))
+    table = models.precompute_to_table(points, modes, pauli.enumerate_k_local(4, 1), 4)
+    path = tmp_path / "table.npz"
+    models.save_to_table(table, path)
+    trial_models = [
+        models.TOModel(table), models.TOModel(models.load_to_table(path)),
+        models.OriginalModel(4, 1, points),
+    ]
+    for mode in modes:
+        for model in trial_models:
+            model.values_at(model.init_params(rng), dense, mode)
+    assert run_batch_shifts and not any(run_batch_shifts)
 
 
 @pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
@@ -362,7 +398,7 @@ def test_to_model_is_linear_and_free():
     rng = np.random.default_rng(0)
     p1 = model.init_params(rng)
     p2 = model.init_params(rng)
-    idx = np.arange(table.n_points)
+    idx = np.arange(len(table.points))
     # alpha_s fixed: values are linear in the alpha block
     lin = p1.copy()
     lin[:-1] = p1[:-1] + p2[:-1]

@@ -12,7 +12,6 @@ from dqsolve.pauli import (
     PauliString,
     all_strings,
     enumerate_k_local,
-    identity_string,
     sum_of_z,
 )
 
@@ -37,7 +36,7 @@ def test_enumeration_is_sorted_and_deterministic():
     strings = enumerate_k_local(4, 2)
     assert strings == sorted(strings, key=lambda p: p.sort_key())
     assert strings == enumerate_k_local(4, 2)
-    assert strings[0] == identity_string(4)
+    assert strings[0] == PauliString("IIII")
 
 
 def test_klocal_subset_nesting():
@@ -89,6 +88,6 @@ def test_observable_sum_algebra():
 
 
 def test_identity_string():
-    p = identity_string(5)
+    p = PauliString("I" * 5)
     assert p.letters == "IIIII"
     assert p.weight == 0

@@ -43,9 +43,34 @@ def test_stacked_readout_covers_a_ragged_last_chunk():
     assert np.array_equal(pauli_expectation_batch(amps, pauli_tables(labels)), _per_string(amps, labels))
 
 
+def test_stacked_readout_reads_cross_terms():
+    # Re<bra|P|psi>, ragged last chunk included; the cross terms carry an
+    # imaginary part that the Hermitian read would have refused
+    rng = np.random.default_rng(9)
+    amps, bra = _random_states(rng, 22, 5), _random_states(rng, 22, 5)
+    labels = [p.letters for p in pauli.all_strings(5)]
+    got = pauli_expectation_batch(amps, pauli_tables(labels), bra)
+    assert np.array_equal(got, np.stack([pauli_expectation_batch(amps, s, bra) for s in labels], axis=1))
+    src, coef = pauli_tables(labels)
+    direct = np.einsum("bi,dbi->bd", np.conj(bra), coef[:, None, :] * amps[:, src].transpose(1, 0, 2))
+    assert np.allclose(got, direct.real, rtol=0.0, atol=1e-12)
+    assert np.abs(direct.imag).max() > 1e-3
+
+
+def _assert_matches_the_shift_rule(got, reference, mode):
+    """Values read off one unshifted run equal the reference bit for bit;
+    derivatives from exact jets agree with the shift rule to 1e-12."""
+    if mode:
+        assert np.allclose(got, reference, rtol=0.0, atol=1e-12)
+    else:
+        assert np.array_equal(got, reference)
+
+
 def test_mode_expectations_sum_terms_in_order():
     # multi-term sums (the original model's total Z), a unit string and a
-    # string shared between observables all read off one stacked call
+    # string shared between observables all read off one stacked call; the
+    # reference reads each string of each shift configuration's run, equal
+    # bit for bit at mode () and to rounding for the jets' derivatives
     n = 3
     circuit = models.encoding_circuit(n, 1)
     enc = models._enc_by_dim(circuit, 1)
@@ -70,7 +95,8 @@ def test_mode_expectations_sum_terms_in_order():
                 rows.append(total)
             return np.stack(rows, axis=0)
 
-        assert np.array_equal(got, models._combine_over_mode(circuit, enc, mode, evaluate))
+        reference = models._combine_over_mode(circuit, enc, mode, evaluate)
+        _assert_matches_the_shift_rule(got, reference, mode)
 
 
 def test_to_table_equals_per_string_reference():
@@ -91,7 +117,7 @@ def test_to_table_equals_per_string_reference():
         return models._combine_over_mode(circuit, enc, mode, evaluate).T  # (n_pts, d)
 
     for mode in MODES:
-        assert np.array_equal(table.entries[mode], per_string(POINTS, mode))
+        _assert_matches_the_shift_rule(table.entries[mode], per_string(POINTS, mode), mode)
     # d * n_points * E(mode) with E = 1, 2n, 4n**2 for n encoding gates
     expected = len(strings) * len(POINTS) * (1 + 2 * n + 4 * n**2)
     assert counter.snapshot() == {
@@ -99,13 +125,13 @@ def test_to_table_equals_per_string_reference():
     }
 
     # off-table inference reads through the same tables, and its product with
-    # alpha sees the per-string loop's memory layout, so it is exact too
+    # alpha sees the per-string loop's memory layout, so mode () is exact too
     model = models.TOModel(table)
     params = model.init_params(np.random.default_rng(0))
     dense = np.linspace(0.0, 1.0, 11)[:, None]
     for mode in MODES:
         reference = params[-1] * (per_string(dense, mode) @ params[:-1])
-        assert np.array_equal(model.values_at(params, dense, mode), reference)
+        _assert_matches_the_shift_rule(model.values_at(params, dense, mode), reference, mode)
 
 
 @pytest.fixture

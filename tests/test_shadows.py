@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqsolve import circuits, shadows
-from dqsolve.pauli import PauliString, enumerate_k_local, identity_string
+from dqsolve.pauli import PauliString, enumerate_k_local
 from dqsolve.statevector import (
     StateVector,
     expectation,
@@ -82,7 +82,7 @@ def test_snapshot_values_support(n, seed):
 def test_identity_estimates_to_one():
     state = random_state(np.random.default_rng(1), 2)
     shadow = shadows.collect(state, 10, np.random.default_rng(2))
-    assert shadows.estimate_pauli(shadow, identity_string(2)) == 1.0
+    assert shadows.estimate_pauli(shadow, PauliString("II")) == 1.0
 
 
 def test_single_batch_is_plain_mean():

@@ -32,7 +32,7 @@ def test_zero_state():
     state = zero_state(3)
     assert state.amplitudes[0] == 1.0
     assert np.all(state.amplitudes[1:] == 0.0)
-    assert state.norm_sq() == pytest.approx(1.0)
+    assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [0, -1, 13])
