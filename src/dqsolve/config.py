@@ -73,10 +73,17 @@ class RunConfig:
             raise ConfigurationError(f"lr must be positive and finite; got {self.lr}")
         if not math.isfinite(self.stop_loss):
             raise ConfigurationError(f"stop_loss must be finite; got {self.stop_loss}")
-        if self.grid_m < 0:
-            raise ConfigurationError("grid_m must be nonnegative (0 = default)")
+        # a grid needs two points per dimension
+        if self.grid_m < 0 or self.grid_m == 1:
+            raise ConfigurationError(f"grid_m must be 0 (default) or at least 2; got {self.grid_m}")
         if not (0 < self.shadow_eps < math.inf and 0 < self.shadow_c0 < math.inf):
             raise ConfigurationError("shadow budget constants must be positive and finite")
+        # a negative exponent would shrink the per-state budget M instead of growing it
+        if self.shadow_exponent < 0 or self.shadow_w_max < 0:
+            raise ConfigurationError(
+                f"shadow_exponent and shadow_w_max must be nonnegative; got "
+                f"{self.shadow_exponent} and {self.shadow_w_max}"
+            )
         if self.observables == "all" and self.n_qubits > 6:
             raise ConfigurationError("the full Pauli candidate set needs n_qubits <= 6")
         return self

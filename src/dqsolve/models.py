@@ -32,7 +32,6 @@ from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, run_batch
 from .statevector import (
     ConfigurationError,
-    StateVector,
     pauli_expectation_batch,
     pauli_tables,
 )
@@ -774,8 +773,8 @@ class FlippedModel:
 
         All 1 + 2p states run as one batch, one shift array per shifted gate;
         exact mode reads every string off the batch in one pass, shadow mode
-        collects one shadow per state in key order and reads every string
-        off it in one ``estimate_pauli`` call.
+        collects every state's shadow, in key order, in one ``collect`` call
+        and reads every string of every state in one ``estimate_pauli`` call.
         """
         angles = params[: len(self.rotation_params)]
         keys = self._state_keys(need_grad)
@@ -790,14 +789,8 @@ class FlippedModel:
         if self.mode == "exact":
             rows = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
         else:
-            rows = [
-                shadows.estimate_pauli(
-                    shadows.collect(StateVector(self.n_qubits, state), self.snapshots, rng),
-                    self.pauli_set,
-                    self.n_batches,
-                )
-                for state in amps
-            ]
+            shadow = shadows.collect(amps, self.snapshots, rng)
+            rows = shadows.estimate_pauli(shadow, self.pauli_set, self.n_batches)
         self._exps = dict(zip(keys, rows))
         _charge(self.counter, len(keys) * self.snapshots, phase)
 

@@ -7,12 +7,14 @@ match, else 0; estimates aggregate batch means through a median
 (median-of-means).
 
 The classical post-processing is vectorized, the protocol is not: a shadow
-of M snapshots still stands for M state preparations.  ``collect`` rotates
-one amplitude row per distinct basis setting it draws (at most
-min(M, 3**n)) and samples every snapshot from its setting's row, drawing
-randomness in a fixed order so shadows are bitwise reproducible per seed.
-``estimate_pauli`` reads a whole list of strings off one (M, d) matrix of
-snapshot values.
+of M snapshots still stands for M preparations of its state.  ``collect``
+takes one state or a batch of S states: it rotates one amplitude row per
+distinct (state, basis setting) pair it draws (at most min(M, 3**n) per
+state) and samples every snapshot from its pair's row.  It draws the
+randomness state after state in a fixed order, so each state's shadow is
+bitwise the one a collect of that state alone would give, and shadows are
+reproducible per seed.  ``estimate_pauli`` reads a whole list of strings off
+every state of a shadow at once.
 """
 
 from __future__ import annotations
@@ -23,44 +25,76 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, rotate_to_bases, sample_bitstrings
+from .statevector import StateVector, born_cumulative, rotate_to_bases
 
 BASIS_CODES = "XYZ"
 
 DEFAULT_LOCALITY_CAP = 2
 
+# Elements one group of states holds at once: Born-table entries (snapshots *
+# 2**n) in ``collect``, snapshot values (snapshots * strings) in
+# ``estimate_pauli``.  Bounds their temporaries, and so the peak memory, to
+# about half a megabyte per group: about 4k snapshots at n = 4.  A group
+# holds at least one state.
+_GROUP_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassicalShadow:
     n_qubits: int
-    bases: np.ndarray    # (M, n) uint8 indices into "XYZ"
-    signs: np.ndarray    # (M, n) int8, +1 / -1 measurement outcomes
+    bases: np.ndarray    # (M, n), or (S, M, n) for S states: uint8 indices into "XYZ"
+    signs: np.ndarray    # same shape, int8, +1 / -1 measurement outcomes
 
     @property
     def n_snapshots(self) -> int:
-        return self.bases.shape[0]
+        """Snapshots per state, M."""
+        return self.bases.shape[-2]
 
 
-def collect(state: StateVector, m_snapshots: int, rng: np.random.Generator) -> ClassicalShadow:
-    """Draw ``m_snapshots`` randomized-basis measurements of ``state``."""
+def collect(states, m_snapshots: int, rng: np.random.Generator) -> ClassicalShadow:
+    """Draw ``m_snapshots`` randomized-basis measurements of every state.
+
+    ``states`` is one StateVector, giving (M, n) bases and signs, or an (S,
+    2**n) array of amplitude rows, giving (S, M, n) ones.  Each state draws
+    its bases and then its outcome uniforms, state after state, as S
+    single-state collects from the same generator would.
+    """
     if m_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    n = state.n_qubits
-    bases = rng.integers(0, 3, size=(m_snapshots, n), dtype=np.uint8)
-    # one rotated row per distinct setting, keyed by sum_q b_q * 3**q
-    _, first, inverse = np.unique(
-        bases @ 3 ** np.arange(n), return_index=True, return_inverse=True
-    )
-    settings = bases[first]
-    amps = np.tile(state.amplitudes, (len(first), 1))
-    for q in range(n):
-        for code, letter in enumerate("XY"):
-            rows = settings[:, q] == code
-            if rows.any():
-                amps[rows] = rotate_to_bases(amps[rows], n, "Z" * q + letter + "Z" * (n - q - 1))
-    indices = sample_bitstrings(amps, rng, rows=inverse)
-    bits = (indices[:, None] >> np.arange(n)[None, :]) & 1
-    signs = (1 - 2 * bits).astype(np.int8)
+    single = isinstance(states, StateVector)
+    amps = states.amplitudes[None, :] if single else np.asarray(states)
+    n_states, dim = amps.shape
+    n = dim.bit_length() - 1
+    # the draws do not depend on the amplitudes, so take them all first
+    bases = np.empty((n_states, m_snapshots, n), dtype=np.uint8)
+    uniforms = np.empty((n_states, m_snapshots))
+    for s in range(n_states):
+        bases[s] = rng.integers(0, 3, size=(m_snapshots, n), dtype=np.uint8)
+        uniforms[s] = rng.random(m_snapshots)
+    # the +1 / -1 outcome of every qubit, per measured basis index
+    outcomes = (1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
+    signs = np.empty_like(bases, dtype=np.int8)
+    group = max(1, _GROUP_ELEMENTS // (m_snapshots * dim))
+    for lo in range(0, n_states, group):
+        part = slice(lo, lo + group)
+        # one key per (state, setting) pair: s * 3**n + sum_q b_q * 3**q
+        keys = bases[part] @ 3 ** np.arange(n) + np.arange(n_states)[part, None] * 3**n
+        pairs, inverse = np.unique(keys.ravel(), return_inverse=True)
+        state, setting = np.divmod(pairs, 3**n)
+        settings = setting[:, None] // 3 ** np.arange(n) % 3
+        rotated = amps[state]
+        for q in range(n):
+            for code, letter in enumerate("XY"):
+                rows = settings[:, q] == code
+                if rows.any():
+                    rotated[rows] = rotate_to_bases(
+                        rotated[rows], n, "Z" * q + letter + "Z" * (n - q - 1)
+                    )
+        cum = born_cumulative(rotated)[inverse]
+        indices = (cum < uniforms[part].reshape(-1, 1)).sum(axis=1)
+        signs[part] = outcomes[indices].reshape(-1, m_snapshots, n)
+    if single:
+        return ClassicalShadow(n, bases[0], signs[0])
     return ClassicalShadow(n, bases, signs)
 
 
@@ -71,25 +105,39 @@ def _as_list(pstrings) -> tuple[list[PauliString], bool]:
     return list(pstrings), False
 
 
+def _values(bases: np.ndarray, signs: np.ndarray, strings) -> np.ndarray:
+    """String-major values of K snapshots' (..., n) outcomes, shape (d, K).
+
+    A string's value is the product of its support factors in qubit order:
+    3 * sign where the letter is the measured basis, else 0.  The factors are
+    integers, so a mismatch is +0.0 and the float products carry the same
+    zero signs as a product over all n qubits with a factor 1 for I.
+    """
+    n = bases.shape[-1]
+    # qubit-major, so each qubit's outcomes over the snapshots are contiguous
+    bases, signs = bases.reshape(-1, n).T.copy(), signs.reshape(-1, n).T.copy()
+    factors: dict[tuple[int, str], np.ndarray] = {}
+    values = np.empty((len(strings), bases.shape[1]))
+    for row, p in zip(values, strings):
+        row[:] = 1.0
+        for q, letter in p.support():
+            if (q, letter) not in factors:
+                factors[q, letter] = (bases[q] == BASIS_CODES.index(letter)) * (3 * signs[q])
+            row *= factors[q, letter]
+    return values
+
+
 def snapshot_values(shadow: ClassicalShadow, pstrings) -> np.ndarray:
     """Per-snapshot inverse-channel estimator values; support is {0, +-3**w}.
 
-    One string gives shape (M,), a sequence of d strings gives (M, d); an
-    identity string's column is all 1.
+    One string gives shape (M,), a sequence of d strings gives (M, d); a
+    shadow of S states prepends an S axis.  An identity string's column is
+    all 1.
     """
     strings, single = _as_list(pstrings)
-    letters = "I" + BASIS_CODES
-    codes = np.array(
-        [[letters.index(c) for c in p.letters] for p in strings], dtype=np.intp
-    ).reshape(len(strings), shadow.n_qubits)
-    # factor per (snapshot, qubit, letter): 1 for I, else 3 * sign if the
-    # letter is the measured basis and 0 if not
-    factors = np.ones((shadow.n_snapshots, shadow.n_qubits, 4))
-    factors[:, :, 1:] = (shadow.bases[:, :, None] == np.arange(3)) * (3 * shadow.signs[:, :, None])
-    values = factors[:, 0, codes[:, 0]]
-    for q in range(1, shadow.n_qubits):
-        values *= factors[:, q, codes[:, q]]
-    return values[:, 0] if single else values
+    values = _values(shadow.bases, shadow.signs, strings).T
+    values = values.reshape(shadow.bases.shape[:-1] + (len(strings),))
+    return values[..., 0] if single else values
 
 
 def estimate_pauli(
@@ -101,25 +149,44 @@ def estimate_pauli(
     """Median-of-means estimate of <P>; n_batches=1 is the plain mean.
 
     One PauliString gives a float, a sequence of d strings an array of d
-    estimates.  Batches follow ``np.array_split``; every snapshot value is
-    an integer, so the batch sums are exact and the estimates do not depend
-    on how many strings are read at once.
+    estimates; a shadow of S states gives (S,) or (S, d), each state's row
+    C-contiguous.  Batches follow ``np.array_split`` within each state;
+    every snapshot value is an integer, so the batch sums are exact and the
+    estimates depend neither on how many strings nor on how many states are
+    read at once.
     """
     strings, single = _as_list(pstrings)
+    n, d = shadow.n_qubits, len(strings)
     for p in strings:
         if p.weight > locality_cap:
             raise ValueError(
                 f"Pauli weight {p.weight} of {p} exceeds the locality cap {locality_cap}"
             )
+        if p.n_qubits != n:
+            raise ValueError(f"{p} does not act on the shadow's {n} qubits")
     m = shadow.n_snapshots
     if not 1 <= n_batches <= m:
         raise ValueError("n_batches must be in [1, n_snapshots]")
     sizes = np.full(n_batches, m // n_batches)
     sizes[: m % n_batches] += 1
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    means = np.add.reduceat(snapshot_values(shadow, strings), starts, axis=0) / sizes[:, None]
-    estimates = np.median(means, axis=0)
-    return float(estimates[0]) if single else estimates
+    lead = shadow.bases.shape[:-2]
+    n_states = math.prod(lead)
+    bases, signs = shadow.bases.reshape(n_states, m, n), shadow.signs.reshape(n_states, m, n)
+    sums = np.empty((d, n_states, n_batches))
+    group = max(1, _GROUP_ELEMENTS // (m * max(1, d)))
+    for lo in range(0, n_states, group):
+        part = slice(lo, lo + group)
+        values = _values(bases[part], signs[part], strings)
+        g = values.shape[1] // m
+        # batch b of the group's state s starts at s * M + starts[b]
+        offsets = (np.arange(g)[:, None] * m + starts).ravel()
+        sums[:, lo : lo + g] = np.add.reduceat(values, offsets, axis=1).reshape(d, g, n_batches)
+    medians = np.median(sums / sizes, axis=2)
+    estimates = np.ascontiguousarray(medians.T).reshape(lead + (d,))
+    if single:
+        estimates = estimates[..., 0]
+    return float(estimates) if estimates.ndim == 0 else estimates
 
 
 def default_batches(n_observables: int) -> int:

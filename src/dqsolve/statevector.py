@@ -228,16 +228,15 @@ def rotate_to_bases(amps: np.ndarray, n: int, bases) -> np.ndarray:
     return out
 
 
-def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator, rows=None) -> np.ndarray:
-    """Sample one computational-basis index per row from the Born distribution.
-
-    With ``rows`` given, draw one index per entry of ``rows`` instead, the
-    i-th from the distribution of ``amps[rows[i]]``.
-    """
+def born_cumulative(amps: np.ndarray) -> np.ndarray:
+    """Cumulative sums of every row's normalized Born probabilities."""
     probs = np.abs(amps) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    if rows is not None:
-        cum = cum[rows]
+    return np.cumsum(probs, axis=1)
+
+
+def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sample one computational-basis index per row from the Born distribution."""
+    cum = born_cumulative(amps)
     u = rng.random(cum.shape[0])
     return (cum < u[:, None]).sum(axis=1)

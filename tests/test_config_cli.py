@@ -63,7 +63,10 @@ def test_missing_section_rejected():
         ("epochs", 0),
         ("lr", -0.1),
         ("grid_m", -2),
+        ("grid_m", 1),
         ("shadow_eps", 0.0),
+        ("shadow_exponent", -1),
+        ("shadow_w_max", -1),
     ],
 )
 def test_validation_rejects_bad_values(field, value):
@@ -158,6 +161,16 @@ def test_invalid_config_exit_code(tmp_path):
         fs = ("--problem", "damped_osc", "--variant", "fs", *flag)
         assert run_cli("run", *fs, "--epochs", "1", "--out", str(tmp_path / "w")) == cli.EXIT_CONFIG
         assert run_cli("count", *fs) == cli.EXIT_CONFIG
+    # a one-point grid and negative budget exponents are refused, not left to a
+    # ValueError traceback or a silently shrunken budget
+    for problem, flag in [("damped_osc", ["--grid-m", "1"]), ("twod_linear", ["--grid-m", "1"]),
+                          ("damped_osc", ["--shadow-w-max", "-1"]),
+                          ("damped_osc", ["--shadow-exponent", "-1"])]:
+        args = ("--problem", problem, "--variant", "fs", "--fs-mode", "shadow", *flag)
+        assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "v")) == cli.EXIT_CONFIG
+        assert run_cli("count", *args) == cli.EXIT_CONFIG
+    assert run_cli("run", "--problem", "damped_osc", "--variant", "original", "--grid-m", "1",
+                   "--epochs", "1", "--out", str(tmp_path / "u")) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize(

@@ -520,7 +520,7 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
 def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
     model = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="shadow")
     params = model.init_params(np.random.default_rng(6))
-    estimates, rotations = [], []   # rotations: one list of (bases, rows) per collect
+    estimates, collected, rotations = [], [], []   # rotations: (letters, rows) per rotate call
     estimate_pauli, collect, rotate = shadows.estimate_pauli, shadows.collect, shadows.rotate_to_bases
 
     def counting_estimate(*args, **kwargs):
@@ -528,11 +528,11 @@ def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
         return estimate_pauli(*args, **kwargs)
 
     def counting_collect(*args, **kwargs):
-        rotations.append([])
-        return collect(*args, **kwargs)
+        collected.append(collect(*args, **kwargs))
+        return collected[-1]
 
     def counting_rotate(amps, n, bases):
-        rotations[-1].append((bases, amps.shape[0]))
+        rotations.append((bases, amps.shape[0]))
         return rotate(amps, n, bases)
 
     monkeypatch.setattr(shadows, "estimate_pauli", counting_estimate)
@@ -540,14 +540,18 @@ def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
     monkeypatch.setattr(shadows, "rotate_to_bases", counting_rotate)
     model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
     n_states = 1 + 2 * len(model.rotation_params)
-    assert len(estimates) == n_states
-    assert all(strings is model.pauli_set for strings in estimates)
-    assert len(rotations) == n_states
+    # one collect and one estimate for all 1 + 2p states
+    assert len(estimates) == 1 and estimates[0] is model.pauli_set
+    assert len(collected) == 1
+    bases = collected[0].bases
+    assert bases.shape == (n_states, model.snapshots, 4)
+    # distinct (state, setting) pairs drawn, at most min(M, 3**n) per state
+    pairs = sum(len(np.unique(state, axis=0)) for state in bases)
     cap = min(model.snapshots, 3**4)
     assert model.snapshots > cap   # per-snapshot rotation would exceed the cap
-    for calls in rotations:
-        for q in range(4):
-            assert sum(rows for bases, rows in calls if bases[q] != "Z") <= cap
+    assert pairs <= n_states * cap
+    for q in range(4):
+        assert sum(rows for letters, rows in rotations if letters[q] != "Z") <= pairs
 
 
 def test_flipped_shadow_mode_approaches_exact():

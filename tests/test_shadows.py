@@ -61,6 +61,61 @@ def test_collect_matches_per_snapshot_sampling(n, m_snapshots):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("m_snapshots", [1, 7, 551])
+@pytest.mark.parametrize("n_states", [1, 3, 73])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_batched_collect_matches_per_state_collects(n, n_states, m_snapshots):
+    amps = np.stack([random_state(np.random.default_rng([n, s]), n).amplitudes
+                     for s in range(n_states)])
+    seed = n_states * m_snapshots
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    shadow = shadows.collect(amps, m_snapshots, rng)
+    reference = [per_snapshot_collect(StateVector(n, row), m_snapshots, ref_rng) for row in amps]
+    assert shadow.n_snapshots == m_snapshots
+    assert shadow.bases.shape == shadow.signs.shape == (n_states, m_snapshots, n)
+    assert shadow.bases.tobytes() == np.stack([bases for bases, _ in reference]).tobytes()
+    assert shadow.signs.tobytes() == np.stack([signs for _, signs in reference]).tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def test_batched_collect_spans_several_groups():
+    # 73 states of 551 snapshots at n = 4 sample in groups of 7 states, the last one partial
+    n, n_states, m_snapshots = 4, 73, 551
+    per_group = shadows._GROUP_ELEMENTS // (m_snapshots * 2**n)
+    assert 1 < per_group < n_states and n_states % per_group
+    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    shadow = shadows.collect(amps, m_snapshots, np.random.default_rng(5))
+    ref_rng = np.random.default_rng(5)
+    for s, row in enumerate(amps):
+        alone = shadows.collect(StateVector(n, row), m_snapshots, ref_rng)
+        assert shadow.bases[s].tobytes() == alone.bases.tobytes(), s
+        assert shadow.signs[s].tobytes() == alone.signs.tobytes(), s
+
+
+@pytest.mark.parametrize("n_batches", [1, 10, 551])
+@pytest.mark.parametrize("locality", [1, 2])
+def test_batched_estimates_match_per_state_calls(locality, n_batches):
+    n, n_states = 4, 7
+    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    shadow = shadows.collect(amps, 551, np.random.default_rng(23))
+    strings = enumerate_k_local(n, locality)
+    together = shadows.estimate_pauli(shadow, strings, n_batches)
+    assert together.shape == (n_states, len(strings))
+    # one string over every state gives that string's column
+    last = shadows.estimate_pauli(shadow, strings[-1], n_batches)
+    assert last.shape == (n_states,)
+    for s in range(n_states):
+        alone = shadows.ClassicalShadow(n, shadow.bases[s], shadow.signs[s])
+        expected = shadows.estimate_pauli(alone, strings, n_batches)
+        assert together[s].flags.c_contiguous
+        assert together[s].tobytes() == expected.tobytes(), s
+        assert last[s] == shadows.estimate_pauli(alone, strings[-1], n_batches)
+    values = shadows.snapshot_values(shadow, strings)
+    assert values.shape == (n_states, 551, len(strings))
+    assert values[2].tobytes() == shadows.snapshot_values(
+        shadows.ClassicalShadow(n, shadow.bases[2], shadow.signs[2]), strings).tobytes()
+
+
 def test_collect_rejects_empty():
     with pytest.raises(ValueError):
         shadows.collect(zero_state(1), 0, np.random.default_rng(0))
