@@ -86,6 +86,8 @@ class RunConfig:
             )
         if self.observables == "all" and self.n_qubits > 6:
             raise ConfigurationError("the full Pauli candidate set needs n_qubits <= 6")
+        if self.variant == "to" and self.observables == "loc2" and self.n_qubits < 2:
+            raise ConfigurationError("the 2-local candidate set needs n_qubits >= 2")
         return self
 
 
@@ -143,8 +145,12 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_text(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"could not read configuration file: {exc}") from exc
+    return config_from_text(text)
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:

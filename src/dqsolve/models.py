@@ -4,7 +4,8 @@ Every model exposes:
 
 * ``init_params(rng)`` -> flat parameter vector;
 * ``values(params, idx, mode)`` -> trial-function (derivative) values at a
-  subset of the model's fixed evaluation points;
+  subset of the model's fixed evaluation points, ``idx`` an index array or a
+  slice (a slice reads the model's tables without copying them);
 * ``jacobian(params, idx, mode)`` -> derivative of those values with respect
   to every parameter;
 * optionally ``begin_epoch(params, rng, need_grad)`` for models whose
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, pauli, shadows
-from .circuits import CircuitSpec, run_batch
+from .circuits import CircuitSpec, GateSpec, run_batch
 from .statevector import (
     ConfigurationError,
     pauli_expectation_batch,
@@ -300,21 +301,24 @@ def _encoder_length(circuit: CircuitSpec) -> int:
     return len(bound)
 
 
-def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets) -> np.ndarray:
-    """The states U * d^J phi for every jet J of ``jets``, stacked jet-major:
-    rows j*batch .. (j+1)*batch - 1 hold ``jets[j]``.  Shape (len(jets)*batch, 2**n).
+def prefix_jets(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, derived=None) -> dict:
+    """The prefix states d^J phi of every jet J of ``jets`` and of its lower
+    orders, keyed by jet; each is an array of shape (batch, 2**n).
 
-    phi is the state the circuit's input-bound prefix prepares and U the rest
-    of the circuit; a jet is a tuple of input dimensions, like a mode, with
-    () the state itself.  Every prefix gate is RX(s_j * x_d) and X commutes
-    with RX, so d_d phi = sum over j in enc(d) of (-i s_j / 2) X_j phi,
-    exactly; higher jets apply this once per entry.
+    phi is the state the circuit's input-bound prefix prepares; a jet is a
+    tuple of input dimensions, like a mode, with () the state itself.  Every
+    prefix gate is RX(s_j * x_d) and X commutes with RX, so d_d phi = sum over
+    j in enc(d) of (-i s_j / 2) X_j phi, exactly; higher jets apply this once
+    per entry.  ``derived``, if given, is extended in place and returned: a
+    caller that keeps it runs the prefix once and derives each jet once.
     """
     n = circuit.n_qubits
     length = _encoder_length(circuit)
-    prefix = CircuitSpec(n, circuit.gates[:length], input_params=circuit.input_params)
+    derived = {} if derived is None else derived
+    if () not in derived:
+        prefix = CircuitSpec(n, circuit.gates[:length], input_params=circuit.input_params)
+        derived[()] = run_batch(prefix, bindings, batch)
     index = np.arange(2**n)
-    derived = {(): run_batch(prefix, bindings, batch)}
     for jet in map(tuple, jets):
         for order in range(1, len(jet) + 1):
             if jet[:order] not in derived:
@@ -324,15 +328,27 @@ def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets) -> 
                     gate = circuit.gates[g]
                     out += (-0.5j * gate.scale) * lower[:, index ^ (1 << gate.qubits[0])]
                 derived[jet[:order]] = out
+    return derived
+
+
+def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, derived=None) -> np.ndarray:
+    """The states U * d^J phi for every jet J of ``jets``, stacked jet-major:
+    rows j*batch .. (j+1)*batch - 1 hold ``jets[j]``.  Shape (len(jets)*batch, 2**n).
+
+    U is the circuit after its input-bound prefix; the prefix jets come from
+    ``prefix_jets``, which also takes ``derived``.
+    """
+    derived = prefix_jets(circuit, enc_by_dim, bindings, batch, jets, derived)
     amps = np.concatenate([derived[tuple(jet)] for jet in jets])
-    for gate in circuit.gates[length:]:
-        circuits.apply_gate_to_batch(amps, n, gate, bindings)
+    for gate in circuit.gates[_encoder_length(circuit) :]:
+        circuits.apply_gate_to_batch(amps, circuit.n_qubits, gate, bindings)
     return amps
 
 
 def jet_terms(mode: tuple[int, ...]) -> list:
     """An input derivative as (w, u, v) triples: f = sum of w * Re<psi_u|C|psi_v>
-    over jets u, v.  Only orders up to two occur in the problems."""
+    over jets u, v, each (u, v) pair listed once.  Only orders up to two occur
+    in the problems."""
     mode = tuple(mode)
     if not mode:
         return [(1.0, (), ())]
@@ -340,6 +356,8 @@ def jet_terms(mode: tuple[int, ...]) -> list:
         return [(2.0, mode, ())]
     if len(mode) == 2:
         d, e = mode
+        if d == e:
+            return [(2.0, mode, ()), (2.0, (d,), (d,))]
         return [(2.0, mode, ()), (1.0, (d,), (e,)), (1.0, (e,), (d,))]
     raise ConfigurationError(f"input derivatives above second order are not supported: {mode}")
 
@@ -407,20 +425,190 @@ def _input_bindings(points: np.ndarray) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # original protocol
 
+# RX angles that turn |0> into the probe states |0>, |1> (up to a phase) and |+i>
+_PROBE_ANGLES = (0.0, np.pi, -np.pi / 2.0)
+# Per qubit, the Pauli letters I, Y, Z (rows) as sums of the probe projectors
+# |0><0|, |1><1|, |+i><+i| (columns), halved: P / 2 = sum_s M[P, s] |s><s|
+_PROBE_MAP = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 2.0], [1.0, -1.0, 0.0]]) / 2.0
+# The probe form sweeps 3**n rows per parameter vector, the row form a few
+# rows per evaluation point.  The probe form was the faster one while 3**n is
+# at most this many rows per point, up to this register size; beyond it, its
+# 6**n-amplitude probe stack and points x 3**n features cost more time and
+# memory than the row form at the sizes measured (BENCH_original_probe.json).
+_PROBE_ROWS_PER_POINT = 4
+_PROBE_MAX_QUBITS = 6
+
+
+def probe_form_fits(n_qubits: int, n_points: int) -> bool:
+    """Whether an original model over ``n_points`` evaluation points takes the
+    probe form (``ProbeForm``) rather than the row form (``RowForm``)."""
+    return n_qubits <= _PROBE_MAX_QUBITS and 3**n_qubits <= _PROBE_ROWS_PER_POINT * n_points
+
+
+class RowForm:
+    """The original model's <C> derivatives from jets at every evaluation point.
+
+    Per parameter vector the ansatz runs forward once on each jet's rows at
+    every point, and each Jacobian is one adjoint sweep over the stacked jets
+    of its points.  Simulated rows grow with the number of points.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        # the rotation angles the jets were gathered at, and per jet the final
+        # states psi_J and C psi_J at every evaluation point
+        self._key = None
+        self._jets: dict = {}
+
+    def _gather(self, theta, mode):
+        """Final jet states at every evaluation point for the mode's terms,
+        running the jets this parameter vector has not run yet."""
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key != self._key:
+            self._key, self._jets = key, {}
+        needed = dict.fromkeys(jet for _w, u, v in jet_terms(mode) for jet in (u, v))
+        missing = [jet for jet in needed if jet not in self._jets]
+        if missing:
+            model = self.model
+            n_pts = model.eval_points.shape[0]
+            bindings = model._bindings(model.eval_points, theta)
+            amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, model._phi)
+            lam = model.readout.apply(amps)
+            for j, jet in enumerate(missing):
+                rows = slice(j * n_pts, (j + 1) * n_pts)
+                self._jets[jet] = (amps[rows], lam[rows])
+        return self._jets
+
+    def raw(self, theta, idx, mode):
+        """The mode's input derivative of <C> at the evaluation points ``idx``."""
+        jets = self._gather(theta, mode)
+        return sum(
+            w * np.einsum("bi,bi->b", np.conj(jets[u][0][idx]), jets[v][1][idx]).real
+            for w, u, v in jet_terms(mode)
+        )
+
+    def theta_grads(self, theta, idx, mode):
+        """d raw / d theta at the points ``idx``, shape (points, rotations)."""
+        model = self.model
+        jets = self._gather(theta, mode)
+        # d Re<psi_u|C psi_v> = (G(C psi_v, psi_u) + G(C psi_u, psi_v)) / 2 with G
+        # the sweep of adjoint_gradients: one (state, co-state) block per side,
+        # equal blocks merged, all swept together
+        blocks: dict = {}
+        for w, u, v in jet_terms(mode):
+            for a, b in ((u, v), (v, u)):
+                blocks[a, b] = blocks.get((a, b), 0.0) + w / 2.0
+        grads = adjoint_gradients(
+            model.circuit,
+            model._bindings(model.eval_points[idx], theta),
+            np.concatenate([jets[a][0][idx] for a, _b in blocks]),
+            np.concatenate([jets[b][1][idx] for _a, b in blocks]),
+            model.gate_indices,
+            generators=model.generators,
+        )
+        weights = np.array(list(blocks.values()))
+        n_pts = grads.shape[1] // len(blocks)
+        return np.einsum("c,kcb->bk", weights, grads.reshape(len(grads), len(blocks), n_pts))
+
+
+class ProbeForm:
+    """The original model's <C> derivatives in the Heisenberg picture.
+
+    The feature map is an RX-only prefix on |0...0>, so the Bloch vector of
+    every qubit, and of every jet, stays in the Y-Z plane.  A mode's input
+    derivative at a point, sum of w * Re<phi_u|O|phi_v> with O = U^dag C U,
+    then only reads the Pauli strings of O over {I, Y, Z}, and each of those
+    is a sum of projectors on the 3**n product probe states s in {|0>, |1>,
+    |+i>}**n.  So the derivative is F[x] @ o, exactly, with o_s = <s|O|s> and
+    F fixed by the points: built once per model and mode from the prefix jets
+    (``features``).  Per parameter vector, one run of the probe states and one
+    adjoint sweep over them give o and do/dtheta: 3**n simulated rows,
+    whatever the number of points.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        n = model.n_qubits
+        length = _encoder_length(model.circuit)
+        self._names = tuple(f"probe{q}" for q in range(n))
+        layer = tuple(GateSpec("RX", (q,), param=name) for q, name in enumerate(self._names))
+        # the probe layer in place of the feature map, then the ansatz
+        self.circuit = CircuitSpec(
+            n,
+            layer + model.circuit.gates[length:],
+            input_params=frozenset(self._names),
+            variational_params=model.circuit.variational_params,
+        )
+        self.gate_indices = [g - length + n for g in model.gate_indices]
+        self._features: dict = {}
+        # the rotation angles o and do/dtheta were read at, and the two
+        self._key = None
+        self._heisenberg = None
+
+    def features(self, mode):
+        """F of the mode at every evaluation point, shape (points, 3**n), with
+        probe states ordered as ``itertools.product`` over qubits 0..n-1."""
+        mode = tuple(mode)
+        if mode not in self._features:
+            n = self.model.n_qubits
+            terms = jet_terms(mode)
+            phi = self.model._prefix_jets([jet for _w, u, v in terms for jet in (u, v)])
+            tables = pauli_tables(["".join(p) for p in itertools.product("IYZ", repeat=n)])
+            paulis = sum(
+                w * pauli_expectation_batch(phi[v], tables, None if u == v else phi[u])
+                for w, u, v in terms
+            )
+            # the n-fold Kronecker power of _PROBE_MAP, one qubit axis at a time
+            feats = paulis.reshape((-1,) + (3,) * n)
+            for _ in range(n):
+                feats = np.tensordot(feats, _PROBE_MAP, axes=(1, 0))
+            self._features[mode] = feats.reshape(paulis.shape)
+        return self._features[mode]
+
+    def _read(self, theta):
+        """o on every probe state, shape (3**n,), and do/dtheta, shape
+        (rotations, 3**n), at the rotation angles ``theta``."""
+        key = np.asarray(theta, dtype=np.float64).tobytes()
+        if key != self._key:
+            model = self.model
+            angles = np.array(list(itertools.product(_PROBE_ANGLES, repeat=model.n_qubits)))
+            bindings = dict(zip(self._names, angles.T))
+            bindings.update(zip(model.rotation_params, theta))
+            amps = run_batch(self.circuit, bindings, len(angles))
+            o = model.readout(amps)[0]
+            grads = adjoint_gradients(
+                self.circuit, bindings, amps, model.readout.apply(amps), self.gate_indices,
+                generators=model.generators,
+            )
+            self._key, self._heisenberg = key, (o, grads)
+        return self._heisenberg
+
+    def raw(self, theta, idx, mode):
+        """The mode's input derivative of <C> at the evaluation points ``idx``."""
+        return self.features(mode)[idx] @ self._read(theta)[0]
+
+    def theta_grads(self, theta, idx, mode):
+        """d raw / d theta at the points ``idx``, shape (points, rotations)."""
+        return self.features(mode)[idx] @ self._read(theta)[1].T
+
 
 class OriginalModel:
     """Trial function: scale * <C> + shift through a plain tower feature map
     followed by a hardware-efficient ansatz, with C the total-Z cost operator.
 
     Charges one evaluation per distinct expectation, including every
-    parameter-shift evaluation.  The simulator computes the input derivatives
-    at the fixed evaluation points as exact jets instead (``jet_states``),
-    gathered once per parameter vector.
+    parameter-shift evaluation, so the charges grow with the number of
+    points m.  The simulator computes the input derivatives at the fixed
+    evaluation points from exact jets of the feature map instead, run once
+    per model, in one of two forms chosen by size (``probe_form_fits``): the
+    probe form reads U^dag C U on 3**n probe states, so its simulated rows per
+    parameter vector are 3**n, flat in m (``ProbeForm``); the row form runs
+    the ansatz on every jet at every point (``RowForm``).
     """
 
     def __init__(self, n_qubits: int, depth: int, eval_points: np.ndarray, counter=None):
         self.n_qubits = n_qubits
-        # a private read-only copy: the jet gather below depends on it
+        # a private read-only copy: the cached jets below depend on it
         self.eval_points = np.atleast_2d(np.array(eval_points, dtype=np.float64))
         self.eval_points.flags.writeable = False
         self.dimension = self.eval_points.shape[1]
@@ -436,10 +624,10 @@ class OriginalModel:
         self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
         self.generators = rotation_generators(self.circuit, self.gate_indices)
         self.counter = counter
-        # the rotation angles the jets were gathered at, and per jet the final
-        # states psi_J and C psi_J at every evaluation point
-        self._gather_key = None
-        self._jets: dict = {}
+        # the feature-map jets at every evaluation point, by jet; filled on first use
+        self._phi: dict = {}
+        form = ProbeForm if probe_form_fits(n_qubits, self.eval_points.shape[0]) else RowForm
+        self.form = form(self)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         theta = rng.uniform(-np.pi, np.pi, size=len(self.rotation_params))
@@ -450,31 +638,12 @@ class OriginalModel:
         bindings.update({pid: theta[i] for i, pid in enumerate(self.rotation_params)})
         return bindings
 
-    def _gather(self, theta, mode):
-        """Final jet states at every evaluation point for the mode's terms,
-        simulating the jets this parameter vector has not run yet."""
-        key = np.asarray(theta, dtype=np.float64).tobytes()
-        if key != self._gather_key:
-            self._gather_key, self._jets = key, {}
-        needed = dict.fromkeys(jet for _w, u, v in jet_terms(mode) for jet in (u, v))
-        missing = [jet for jet in needed if jet not in self._jets]
-        if missing:
-            n_pts = self.eval_points.shape[0]
-            amps = jet_states(
-                self.circuit, self.enc_by_dim, self._bindings(self.eval_points, theta), n_pts, missing
-            )
-            lam = self.readout.apply(amps)
-            for j, jet in enumerate(missing):
-                rows = slice(j * n_pts, (j + 1) * n_pts)
-                self._jets[jet] = (amps[rows], lam[rows])
-        return self._jets
-
-    def _raw(self, theta, idx, mode):
-        """The mode's input derivative of <C> at the evaluation points ``idx``."""
-        jets = self._gather(theta, mode)
-        return sum(
-            w * np.einsum("bi,bi->b", np.conj(jets[u][0][idx]), jets[v][1][idx]).real
-            for w, u, v in jet_terms(mode)
+    def _prefix_jets(self, jets) -> dict:
+        """The feature-map jets at every evaluation point; they do not depend
+        on the parameters, so each runs once per model."""
+        points = self.eval_points
+        return prefix_jets(
+            self.circuit, self.enc_by_dim, _input_bindings(points), len(points), jets, self._phi
         )
 
     @staticmethod
@@ -484,33 +653,16 @@ class OriginalModel:
         return out + params[-1] if len(mode) == 0 else out
 
     def values(self, params, idx, mode=()):
-        raw = self._raw(params[:-2], idx, mode)
+        raw = self.form.raw(params[:-2], idx, mode)
         _charge(self.counter, len(raw) * runs_per_point(self.enc_by_dim, mode), PHASE_EPOCH)
         return self._scaled(params, raw, mode)
 
     def jacobian(self, params, idx, mode=()):
         theta, sc = params[:-2], params[-2]
-        jets = self._gather(theta, mode)
-        n_rot = len(self.rotation_params)
-        # d Re<psi_u|C psi_v> = (G(C psi_v, psi_u) + G(C psi_u, psi_v)) / 2 with G
-        # the sweep of adjoint_gradients: one (state, co-state) block per side,
-        # equal blocks merged, all swept together
-        blocks: dict = {}
-        for w, u, v in jet_terms(mode):
-            for a, b in ((u, v), (v, u)):
-                blocks[a, b] = blocks.get((a, b), 0.0) + w / 2.0
-        grads = adjoint_gradients(
-            self.circuit,
-            self._bindings(self.eval_points[idx], theta),
-            np.concatenate([jets[a][0][idx] for a, _b in blocks]),
-            np.concatenate([jets[b][1][idx] for _a, b in blocks]),
-            self.gate_indices,
-            generators=self.generators,
-        )
-        weights = np.array(list(blocks.values()))
-        n_pts = grads.shape[1] // len(blocks)
+        grads = self.form.theta_grads(theta, idx, mode)
+        n_pts, n_rot = grads.shape
         jac = np.zeros((n_pts, self.n_params))
-        jac[:, :n_rot] = sc * np.einsum("c,kcb->bk", weights, grads.reshape(n_rot, len(blocks), n_pts))
+        jac[:, :n_rot] = sc * grads
         # charged per the protocol: a parameter-shift pair for every rotation
         # parameter at every point, on top of the mode's own shift structure
         _charge(
@@ -519,7 +671,7 @@ class OriginalModel:
             PHASE_EPOCH,
         )
         # the scale/shift columns reuse the already-charged value measurement
-        jac[:, -2] = self._raw(theta, idx, mode)
+        jac[:, -2] = self.form.raw(theta, idx, mode)
         if len(mode) == 0:
             jac[:, -1] = 1.0
         return jac

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.integrate import solve_bvp
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,11 @@ def _burgers_reference():
     The printed closed form solves the equation but diverges at
     x ~ 0.2025 inside the domain, so the reference solution used for the
     measure of success is the smooth BVP solution with the same boundary
-    values, obtained by collocation.
+    values, obtained by collocation.  scipy is imported here, not at module
+    scope: it is most of the package's import time, and only this oracle uses it.
     """
+    from scipy.integrate import solve_bvp
+
     f_minus = float(burgers_closed_form(0.0))
     f_plus = float(burgers_closed_form(1.0))
 
@@ -326,7 +328,7 @@ def gather_values(problem: DEProblem, trial_models, params_list):
     bc_values is one trial value per boundary term.
     """
     m = problem.grid.size
-    grid_idx = np.arange(m)
+    grid_idx = slice(0, m)  # a view of each model's grid rows, not a copy
     F = {}
     for fn, (model, params) in enumerate(zip(trial_models, params_list)):
         for mode in problem.all_modes:

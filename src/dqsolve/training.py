@@ -128,7 +128,7 @@ def loss_gradients(problem, trial_models, params_list):
     total, l_de, l_bc = problems_mod.loss_from_values(problem, F, bc_values)
 
     m = problem.grid.size
-    grid_idx = np.arange(m)
+    grid_idx = slice(0, m)  # a view of each model's grid rows, not a copy
     residuals = problem.residual(problem.grid.points, F)
     partials = problem.residual_partials(problem.grid.points, F)
     n_eq = residuals.shape[0]

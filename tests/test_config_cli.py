@@ -171,6 +171,15 @@ def test_invalid_config_exit_code(tmp_path):
         assert run_cli("count", *args) == cli.EXIT_CONFIG
     assert run_cli("run", "--problem", "damped_osc", "--variant", "original", "--grid-m", "1",
                    "--epochs", "1", "--out", str(tmp_path / "u")) == cli.EXIT_CONFIG
+    # a 2-local candidate set needs two qubits, and a configuration file has to
+    # be readable; both were a traceback (exit 1) before
+    to_loc2 = ("--problem", "damped_osc", "--variant", "to", "--obs", "loc2", "--n-qubits", "1")
+    assert run_cli("run", *to_loc2, "--epochs", "1", "--out", str(tmp_path / "t")) == cli.EXIT_CONFIG
+    assert run_cli("count", *to_loc2) == cli.EXIT_CONFIG
+    missing = str(tmp_path / "nonexistent.ini")
+    assert run_cli("run", "--config", missing, "--out", str(tmp_path / "s")) == cli.EXIT_CONFIG
+    assert run_cli("count", "--config", missing) == cli.EXIT_CONFIG
+    assert run_cli("count", "--config", str(tmp_path)) == cli.EXIT_CONFIG   # a directory
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """The three trial-function families: values, Jacobians, charges, tables."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,52 +262,163 @@ def test_input_derivatives_never_run_a_shifted_circuit(run_batch_shifts, tmp_pat
     assert run_batch_shifts and not any(run_batch_shifts)
 
 
-@pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
-def test_original_jacobian_runs_each_shift_configuration_once(monkeypatch, dimension, mode, runs):
-    """The accountant charges each of the mode's ``runs`` shift configurations once
-    per point and rotation shift pair; the simulator covers all of them with one
-    forward of the mode's jets."""
-    counter = EvalCounter()
-    model = models.OriginalModel(4, 1, np.full((5, dimension), 0.3), counter=counter)
-    assert models.runs_per_point(model.enc_by_dim, mode) == runs
-    calls = []
-    run_batch = models.run_batch
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return run_batch(*args, **kwargs)
-
-    monkeypatch.setattr(models, "run_batch", counted)
-    model.jacobian(model.init_params(np.random.default_rng(0)), np.arange(5), mode)
-    assert len(calls) == 1
-    assert counter.breakdown["per_epoch"] == 5 * runs * 2 * len(model.rotation_params)
-
-
-def test_loss_gradients_runs_one_forward_per_jet(monkeypatch):
-    problem = problems.twod_linear(3)
-    counter = EvalCounter()
-    model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
-    params = [model.init_params(np.random.default_rng(0))]
-    runs, sweeps = [], []
+@pytest.fixture
+def run_batch_rows(monkeypatch):
+    """The batch size of every ``run_batch`` call and the rows of every
+    ``adjoint_gradients`` sweep the models make."""
+    seen = {"runs": [], "sweeps": []}
     run_batch, adjoint_gradients = models.run_batch, models.adjoint_gradients
 
-    def counted_run(*args, **kwargs):
-        runs.append(1)
-        return run_batch(*args, **kwargs)
+    def counted_run(circuit, bindings, batch, shifts=None):
+        seen["runs"].append(batch)
+        return run_batch(circuit, bindings, batch, shifts)
 
-    def counted_sweep(*args, **kwargs):
-        sweeps.append(1)
-        return adjoint_gradients(*args, **kwargs)
+    def counted_sweep(circuit, bindings, amps, *args, **kwargs):
+        seen["sweeps"].append(amps.shape[0])
+        return adjoint_gradients(circuit, bindings, amps, *args, **kwargs)
 
     monkeypatch.setattr(models, "run_batch", counted_run)
     monkeypatch.setattr(models, "adjoint_gradients", counted_sweep)
+    return seen
+
+
+@pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
+def test_original_jacobian_runs_each_shift_configuration_once(run_batch_rows, dimension, mode, runs):
+    """The accountant charges each of the mode's ``runs`` shift configurations once
+    per point and rotation shift pair; the simulator runs the feature map once
+    per model and then, per parameter vector, either the mode's jets at every
+    point (row form, 5 points) or the 3**4 probe states (probe form, 30 points)."""
+    for n_pts, form, rows in [(5, models.RowForm, []), (30, models.ProbeForm, [81])]:
+        run_batch_rows["runs"].clear()
+        counter = EvalCounter()
+        model = models.OriginalModel(4, 1, np.full((n_pts, dimension), 0.3), counter=counter)
+        assert type(model.form) is form
+        assert models.runs_per_point(model.enc_by_dim, mode) == runs
+        rng = np.random.default_rng(0)
+        model.jacobian(model.init_params(rng), np.arange(n_pts), mode)
+        assert run_batch_rows["runs"] == [n_pts] + rows   # the feature map, then the probes
+        assert counter.breakdown["per_epoch"] == n_pts * runs * 2 * len(model.rotation_params)
+        model.jacobian(model.init_params(rng), np.arange(n_pts), mode)
+        assert run_batch_rows["runs"] == [n_pts] + rows + rows
+
+
+def test_loss_gradients_runs_one_forward_per_jet(run_batch_rows, monkeypatch):
+    problem = problems.twod_linear(3)
+    counter = EvalCounter()
+    model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
+    assert type(model.form) is models.RowForm   # 81 probe rows > 4 * 12 points
+    params = [model.init_params(np.random.default_rng(0))]
+    forwards = []
+    jet_states = models.jet_states
+
+    def counted_forward(*args, **kwargs):
+        forwards.append(args[4])
+        return jet_states(*args, **kwargs)
+
+    monkeypatch.setattr(models, "jet_states", counted_forward)
     training.loss_gradients(problem, [model], params)
     assert problem.all_modes == ((), (1,))
-    assert len(runs) == 2     # one forward per jet of all_modes
-    assert len(sweeps) == 2   # the grid Jacobian at (1,) and the boundary one at ()
+    assert forwards == [[()], [(1,)]]     # one forward per jet of all_modes
+    assert run_batch_rows["runs"] == [12]  # the feature map, once per model
+    assert len(run_batch_rows["sweeps"]) == 2   # the grid Jacobian at (1,), the boundary one at ()
     assert counter.breakdown["per_epoch"] == training.expected_charges(problem, [model])["per_epoch"]
     training.loss_gradients(problem, [model], params)
-    assert len(runs) == 2     # the same parameters reuse the gathered jets
+    assert len(forwards) == 2     # the same parameters reuse the gathered jets
+    training.loss_gradients(problem, [model], [model.init_params(np.random.default_rng(1))])
+    assert len(forwards) == 4 and run_batch_rows["runs"] == [12]
+
+
+@pytest.mark.parametrize("per_dim", [5, 20])
+def test_probe_form_simulates_3_to_the_n_rows_per_parameter_vector(run_batch_rows, per_dim):
+    """Simulated rows per epoch stay 3**n at 30 and at 420 points; the charges grow."""
+    problem = problems.twod_linear(per_dim)
+    n_pts = problem.eval_points.shape[0]
+    counter = EvalCounter()
+    model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
+    assert type(model.form) is models.ProbeForm
+    rng = np.random.default_rng(3)
+    training.loss_gradients(problem, [model], [model.init_params(rng)])
+    assert run_batch_rows["runs"] == [n_pts, 81]   # the feature map once, then the probes
+    assert run_batch_rows["sweeps"] == [81]
+    for _epoch in range(2):
+        training.loss_gradients(problem, [model], [model.init_params(rng)])
+    assert run_batch_rows["runs"] == [n_pts, 81, 81, 81]
+    assert run_batch_rows["sweeps"] == [81, 81, 81]
+    per_epoch = training.expected_charges(problem, [model])["per_epoch"]
+    assert counter.breakdown["per_epoch"] == 3 * per_epoch
+    assert per_epoch > 81 * n_pts
+
+
+@pytest.mark.parametrize(
+    "n_qubits, n_points, probe",
+    [(4, 420, True), (4, 21, True), (4, 22, True), (6, 420, True), (6, 21, False),
+     (6, 22, False), (8, 21, False), (8, 420, False), (7, 601, False), (8, 1722, False),
+     (12, 420, False), (12, 10**6, False)],
+)
+def test_form_selection_rule(run_batch_rows, n_qubits, n_points, probe):
+    """The measured crossover table's (n, points) pairs and n = 12; choosing a
+    form, like building a model, simulates nothing."""
+    assert models.probe_form_fits(n_qubits, n_points) is probe
+    model = models.OriginalModel(n_qubits, 1, np.full((n_points, 1), 0.5))
+    assert type(model.form) is (models.ProbeForm if probe else models.RowForm)
+    assert run_batch_rows == {"runs": [], "sweeps": []}
+
+
+def _forms_case(problem_name, n_qubits):
+    problem = problems.PROBLEMS[problem_name](4)
+    model = models.OriginalModel(n_qubits, 2, problem.eval_points)
+    params = model.init_params(np.random.default_rng(n_qubits))
+    m = problem.grid.size
+    # grid points out of order, and every boundary point
+    idx = np.concatenate([[m - 1, 0, m // 2], m + np.arange(len(problem.boundary))])
+    return problem, model, params[:-2], idx
+
+
+FORM_CASES = [(name, n) for name in problems.PROBLEMS for n in (2, 3, 4)
+              if name != "twod_linear" or n % 2 == 0]
+
+
+@pytest.mark.parametrize("problem_name, n_qubits", FORM_CASES)
+def test_probe_and_row_forms_match_the_shift_rule_reference(problem_name, n_qubits):
+    problem, model, theta, idx = _forms_case(problem_name, n_qubits)
+    points = model.eval_points[idx]
+    forms = [models.ProbeForm(model), models.RowForm(model)]
+    modes = set(problem.all_modes) | {(d,) for d in range(problem.dimension)}
+    modes |= {(d, e) for d in range(problem.dimension) for e in range(problem.dimension)}
+    for mode in sorted(modes, key=lambda t: (len(t), t)):
+        reference = models.mode_variational_grads(
+            model.circuit, model._bindings(points, theta), len(idx), model.enc_by_dim, mode,
+            model.readout, model.gate_indices,
+        )
+        for form in forms:
+            raw, grads = form.raw(theta, idx, mode), form.theta_grads(theta, idx, mode)
+            assert grads.shape == (len(idx), len(model.rotation_params))
+            assert np.allclose(raw, reference[0], rtol=0.0, atol=1e-12), (type(form), mode)
+            assert np.allclose(grads, reference[1:].T, rtol=0.0, atol=1e-12), (type(form), mode)
+
+
+def test_jet_terms_list_each_pair_once():
+    for order in range(3):
+        for mode in itertools.product(range(2), repeat=order):
+            pairs = [(u, v) for _w, u, v in models.jet_terms(mode)]
+            assert len(pairs) == len(set(pairs)), mode
+
+
+def test_models_read_a_grid_slice_as_the_grid_indices():
+    problem = problems.stationary_burgers(4)
+    m = problem.grid.size
+    rng = np.random.default_rng(4)
+    table = models.precompute_to_table(
+        problem.eval_points, problem.all_modes, pauli.enumerate_k_local(4, 1), 4
+    )
+    flipped = models.FlippedModel(4, 1, problem.eval_points, max_order=2)
+    for model in (models.TOModel(table), flipped, models.OriginalModel(4, 1, problem.eval_points)):
+        params = model.init_params(rng)
+        if model is flipped:
+            model.begin_epoch(params, rng)
+        for mode in problem.all_modes:
+            for method in (model.values, model.jacobian):
+                assert np.array_equal(method(params, slice(0, m), mode), method(params, np.arange(m), mode))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Benchmark problems, grids, loss and the success metric."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqsolve
 from dqsolve import problems
 from dqsolve.problems import (
     BURGERS_A,
@@ -216,3 +221,14 @@ def test_mos_counts_squared_deviation():
     F, _ = problems.gather_values(problem, [stub], [np.zeros(2)])
     value = problems.mos_from_values(problem, F)
     assert value == pytest.approx(5 * 0.01, abs=1e-12)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy serves only the Burgers reference oracle, so it loads with that problem."""
+    code = "import sys, dqsolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(dqsolve.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
