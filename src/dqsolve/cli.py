@@ -254,15 +254,10 @@ def write_run_artifacts(config: RunConfig, problem, trial_models, trace, counter
 
 def _resolve_config(args) -> RunConfig:
     overrides = {}
-    for key in (
-        "problem", "variant", "observables", "basis", "fs_mode", "n_qubits",
-        "depth", "epochs", "lr", "stop_loss", "patience", "seed", "ub_seed",
-        "grid_m", "shadow_c0", "shadow_eps", "shadow_exponent", "shadow_w_max",
-        "out_dir", "chart",
-    ):
-        value = getattr(args, key, None)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
+            overrides[field.name] = value
     if args.config:
         base = load_config(args.config)
     else:

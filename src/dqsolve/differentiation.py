@@ -25,19 +25,17 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import CircuitSpec, run_batch
-from .statevector import pauli_expectation_batch
+from .statevector import StateVector, expectation
 
 SHIFT = np.pi / 2.0
 
 
 def _expectation(circuit: CircuitSpec, bindings, obs, shifts=None, counter=None) -> float:
     amps = run_batch(circuit, bindings, batch=1, shifts=shifts)
-    total = 0.0
-    for coef, pstring in obs.terms:
-        total += coef * pauli_expectation_batch(amps, pstring.letters)[0]
+    value = expectation(StateVector(circuit.n_qubits, amps[0]), obs)
     if counter is not None:
         counter.charge(1)
-    return float(total)
+    return value
 
 
 def d_dtheta(circuit: CircuitSpec, bindings, obs, gate_index: int, counter=None) -> float:

@@ -14,6 +14,9 @@ Every model exposes:
 A ``mode`` is a tuple of input-dimension indices: () is the plain value,
 (0,) is d/dx0, (0, 0) the second derivative, (1,) is d/dx1 for 2D inputs.
 
+Every quantum read takes one observable format, a ``pauli_tables`` pair (src,
+coef); the original model reads its cost operator as one ``diagonal_table`` row.
+
 Quantum charges go through a counter object with a ``charge(n, phase=...)``
 method; models charge according to their protocol's cost policy, not
 according to how the classical simulation happens to be organized.
@@ -31,11 +34,7 @@ import numpy as np
 
 from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, GateSpec, run_batch
-from .statevector import (
-    ConfigurationError,
-    pauli_expectation_batch,
-    pauli_tables,
-)
+from .statevector import ConfigurationError, pauli_expectation_batch, pauli_tables
 
 SHIFT = np.pi / 2.0
 
@@ -185,44 +184,19 @@ def _combine_over_mode(circuit, enc_by_dim, mode, evaluate):
     return total
 
 
-class Readout:
-    """The distinct Pauli strings of a list of ObservableSum, stacked so that
-    one ``pauli_expectation_batch`` call reads all of them, and the weights
-    that sum them back into the observables."""
+def diagonal_table(observable) -> tuple[np.ndarray, np.ndarray]:
+    """A sum of Z strings as one ``pauli_tables`` row (src, coef), each of
+    shape (1, 2**n).
 
-    def __init__(self, observables):
-        columns: dict[str, int] = {}
-        self.terms = [
-            [(coef, columns.setdefault(pstring.letters, len(columns))) for coef, pstring in obs.terms]
-            for obs in observables
-        ]
-        # every observable a unit-weight string of its own (the TO case):
-        # observable j is column j as measured
-        self.direct = all(terms == [(1.0, j)] for j, terms in enumerate(self.terms))
-        self.tables = pauli_tables(list(columns))
-
-    def __call__(self, amps: np.ndarray, bra=None) -> np.ndarray:
-        """Expectations of every observable on every row, or Re<bra|C|psi> with
-        the rows ``bra`` given; shape (len(observables), batch)."""
-        vals = pauli_expectation_batch(amps, self.tables, bra)  # (batch, distinct strings)
-        if self.direct:
-            return vals.T
-        rows = []
-        for terms in self.terms:
-            total = np.zeros(amps.shape[0])
-            for coef, column in terms:
-                total += coef * vals[:, column]
-            rows.append(total)
-        return np.stack(rows, axis=0)
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        """C|psi> on every row, C the first observable (the only one of a
-        one-observable readout): the co-state an adjoint sweep starts from."""
-        src, pc = self.tables
-        out = np.zeros_like(amps)
-        for coef, column in self.terms[0]:
-            out += coef * pc[column][None, :] * amps[:, src[column]]
-        return out
+    Every Z string maps each basis state to itself, so its ``src`` row is the
+    identity and the sum is the diagonal of summed coefficient rows: one pass
+    reads <C> or Re<bra|C|psi>, and C|psi> is ``coef * amps``.
+    """
+    src, coef = pauli_tables([pstring.letters for _c, pstring in observable.terms])
+    if np.any(src != np.arange(src.shape[1])):
+        raise ConfigurationError("a diagonal table takes Z strings only")
+    weights = np.array([c for c, _pstring in observable.terms])
+    return src[:1], (weights[:, None] * coef).sum(axis=0, keepdims=True)
 
 
 def rotation_generators(circuit: CircuitSpec, gate_indices) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +242,8 @@ def adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts=None, g
     return grads
 
 
-def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, readout, gate_indices):
-    """A mode expectation of a one-observable ``readout`` (row 0) and its
+def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, cost, gate_indices):
+    """A mode expectation of the ``diagonal_table`` ``cost`` (row 0) and its
     gradient with respect to the listed rotation gates (rows 1..), one
     adjoint sweep per shift configuration: the shift-rule reference for the
     original model's jets."""
@@ -277,9 +251,9 @@ def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, readout, 
 
     def evaluate(shifts):
         amps = run_batch(circuit, bindings, batch, shifts=shifts)
-        value = readout(amps)[0]
+        value = pauli_expectation_batch(amps, cost)[:, 0]
         grads = adjoint_gradients(
-            circuit, bindings, amps, readout.apply(amps), gate_indices, shifts, generators
+            circuit, bindings, amps, cost[1] * amps, gate_indices, shifts, generators
         )
         return np.vstack([value[None, :], grads])
 
@@ -368,25 +342,30 @@ def mode_expectations(
     batch: int,
     enc_by_dim: dict[int, list[int]],
     mode: tuple[int, ...],
-    readout: Readout,
+    tables: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Expectations (or their input derivatives) of every observable of ``readout``.
+    """Expectations (or their input derivatives) of every row of ``tables``.
 
-    Exact jets compute every value: the distinct jets of ``jet_terms(mode)``
-    run as one stacked batch (``jet_states``), and each term
-    w * Re<psi_u|C|psi_v> reads all distinct strings in one pass.
-    ``shift_rule`` only sets what the protocol is charged for them.
+    ``tables`` is a ``pauli_tables`` pair (src, coef) of d rows: Pauli
+    strings (the trainable observable's labels) or a ``diagonal_table``
+    (the original model's cost operator).  Exact jets compute every value:
+    the distinct jets of ``jet_terms(mode)`` run as one stacked batch
+    (``jet_states``), and each term w * Re<psi_u|C|psi_v> reads all d rows in
+    one pass.  ``shift_rule`` only sets what the protocol is charged for them.
 
-    Returns shape (len(observables), batch).
+    Returns shape (d, batch).
     """
     terms = jet_terms(mode)
     jets = list(dict.fromkeys(jet for _w, u, v in terms for jet in (u, v)))
     amps = jet_states(circuit, enc_by_dim, bindings, batch, jets)
     if not mode:
-        return readout(amps)
+        return pauli_expectation_batch(amps, tables).T
     rows = {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
     # a Hermitian read (u == v) keeps its imaginary-part check
-    return sum(w * readout(rows[v], None if u == v else rows[u]) for w, u, v in terms)
+    return sum(
+        w * pauli_expectation_batch(rows[v], tables, None if u == v else rows[u]).T
+        for w, u, v in terms
+    )
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -473,7 +452,7 @@ class RowForm:
             n_pts = model.eval_points.shape[0]
             bindings = model._bindings(model.eval_points, theta)
             amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, model._phi)
-            lam = model.readout.apply(amps)
+            lam = model.cost[1] * amps
             for j, jet in enumerate(missing):
                 rows = slice(j * n_pts, (j + 1) * n_pts)
                 self._jets[jet] = (amps[rows], lam[rows])
@@ -575,9 +554,9 @@ class ProbeForm:
             bindings = dict(zip(self._names, angles.T))
             bindings.update(zip(model.rotation_params, theta))
             amps = run_batch(self.circuit, bindings, len(angles))
-            o = model.readout(amps)[0]
+            o = pauli_expectation_batch(amps, model.cost)[:, 0]
             grads = adjoint_gradients(
-                self.circuit, bindings, amps, model.readout.apply(amps), self.gate_indices,
+                self.circuit, bindings, amps, model.cost[1] * amps, self.gate_indices,
                 generators=model.generators,
             )
             self._key, self._heisenberg = key, (o, grads)
@@ -620,7 +599,7 @@ class OriginalModel:
         self.param_names = list(self.rotation_params) + ["theta_sc", "theta_sh"]
         self.n_params = len(self.param_names)
         self.observable = pauli.sum_of_z(n_qubits)
-        self.readout = Readout([self.observable])
+        self.cost = diagonal_table(self.observable)
         self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
         self.generators = rotation_generators(self.circuit, self.gate_indices)
         self.counter = counter
@@ -678,15 +657,10 @@ class OriginalModel:
 
     def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        raw = mode_expectations(
-            self.circuit,
-            self._bindings(points, params[:-2]),
-            points.shape[0],
-            self.enc_by_dim,
-            mode,
-            self.readout,
-        )[0]
-        _charge(self.counter, points.shape[0] * runs_per_point(self.enc_by_dim, mode), phase)
+        bindings = self._bindings(points, params[:-2])
+        n_pts = len(points)
+        raw = mode_expectations(self.circuit, bindings, n_pts, self.enc_by_dim, mode, self.cost)[0]
+        _charge(self.counter, n_pts * runs_per_point(self.enc_by_dim, mode), phase)
         return self._scaled(params, raw, mode)
 
 
@@ -697,7 +671,9 @@ class OriginalModel:
 @dataclass(frozen=True)
 class TOTable:
     """Input-derivative expectations of every candidate observable on a fixed
-    point set; immutable once built, reusable across training runs."""
+    point set; immutable once built, reusable across training runs.
+
+    Off-table inference reads ``labels`` through their ``tables``."""
 
     points: np.ndarray                    # (n_pts, D)
     modes: tuple[tuple[int, ...], ...]
@@ -706,10 +682,10 @@ class TOTable:
     provenance: dict = field(default_factory=dict)
 
     @functools.cached_property
-    def readout(self) -> Readout:
-        """Stacked readout of ``labels`` for off-table inference; built on first
-        use, unless ``precompute_to_table`` handed over the one it measured with."""
-        return Readout([pauli.ObservableSum([(1.0, pauli.PauliString(s))]) for s in self.labels])
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``pauli_tables`` of ``labels``; built on first use, unless
+        ``precompute_to_table`` handed over the pair it measured with."""
+        return pauli_tables(self.labels)
 
     @property
     def n_observables(self) -> int:
@@ -737,19 +713,20 @@ def precompute_to_table(
     full pre-training quantum cost of the trainable-observable protocol: the
     protocol measures each string separately.  The simulator computes every
     entry from exact jets (``mode_expectations``), reading the d strings'
-    Pauli tables, stacked once for all modes, in one pass per jet term.
+    ``pauli_tables``, built once for all modes and kept as the table's
+    ``tables``, in one pass per jet term.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]
     circuit = encoding_circuit(n_qubits, dimension, ub_seed)
     enc = _enc_by_dim(circuit, dimension)
-    readout = Readout([pauli.ObservableSum([(1.0, p)]) for p in observable_strings])
     labels = tuple(p.letters for p in observable_strings)
+    tables = pauli_tables(labels)
     bindings = _input_bindings(points)
     entries = {}
     for mode in modes:
         mode = tuple(mode)
-        table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, readout)
+        table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, tables)
         entries[mode] = table.T.copy()  # (n_pts, d)
     _charge(counter, to_charge(len(labels), points.shape[0], enc, modes), PHASE_PRECOMPUTE)
     to_table = TOTable(
@@ -764,7 +741,7 @@ def precompute_to_table(
             "circuit": json.loads(circuits.circuit_to_json(circuit)),
         },
     )
-    vars(to_table)["readout"] = readout  # seeds the cached property
+    vars(to_table)["tables"] = tables  # seeds the cached property
     return to_table
 
 
@@ -840,7 +817,7 @@ class TOModel:
         circuit = circuits.circuit_from_json(json.dumps(prov["circuit"]))
         enc = _enc_by_dim(circuit, self.dimension)
         rows = mode_expectations(
-            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.readout
+            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.tables
         ).T
         d = self.table.n_observables
         _charge(self.counter, to_charge(d, points.shape[0], enc, [mode]), phase)
@@ -861,6 +838,10 @@ class FlippedModel:
     its parameter-shifted companions when gradients are needed) once; all
     per-point work is classical.  Charges one shadow-budget's worth of state
     preparations per gathered state, in exact and shadow mode alike.
+
+    The gathered expectations are one (1 + 2p, n_basis) array, one row when no
+    gradient is needed: row 0 is the ansatz state, rows 1 + 2k and 2 + 2k its
+    +pi/2 and -pi/2 shifts in rotation k.
     """
 
     AFFINE = ("alpha_out", "alpha_in", "alpha_shift", "alpha_offset")
@@ -903,7 +884,14 @@ class FlippedModel:
         # exact mode reads every string of the set in one pass per epoch
         self._tables = pauli_tables([p.letters for p in self.pauli_set]) if mode == "exact" else None
         self.counter = counter
-        self._exps: dict = {}
+        # per rotation gate, the shift of every gathered row (rows as above)
+        n_rot = len(self.rotation_params)
+        self._shifts: dict[int, np.ndarray] = {}
+        for k, pid in enumerate(self.rotation_params):
+            shift = np.zeros(1 + 2 * n_rot)
+            shift[1 + 2 * k], shift[2 + 2 * k] = SHIFT, -SHIFT
+            self._shifts[self.circuit.gate_indices_for(pid)[0]] = shift
+        self._exps: np.ndarray | None = None
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         angles = rng.uniform(-np.pi, np.pi, size=len(self.rotation_params))
@@ -912,45 +900,29 @@ class FlippedModel:
 
     # -- quantum data ------------------------------------------------------
 
-    def _state_keys(self, need_grad: bool):
-        keys = [None]
-        if need_grad:
-            for k in range(len(self.rotation_params)):
-                keys.append((k, +1))
-                keys.append((k, -1))
-        return keys
-
     def begin_epoch(self, params, rng: np.random.Generator, need_grad: bool = True, phase=PHASE_EPOCH):
         """Gather <P_l> for the current state and its shifted companions.
 
         All 1 + 2p states run as one batch, one shift array per shifted gate;
         exact mode reads every string off the batch in one pass, shadow mode
-        collects every state's shadow, in key order, in one ``collect`` call
+        collects every state's shadow, in row order, in one ``collect`` call
         and reads every string of every state in one ``estimate_pauli`` call.
         """
-        angles = params[: len(self.rotation_params)]
-        keys = self._state_keys(need_grad)
-        shift_arrays: dict[int, np.ndarray] = {}
-        for row, key in enumerate(keys):
-            if key is not None:
-                k, sign = key
-                gate = self.circuit.gate_indices_for(self.rotation_params[k])[0]
-                shift_arrays.setdefault(gate, np.zeros(len(keys)))[row] = sign * SHIFT
-        bindings = {pid: angles[i] for i, pid in enumerate(self.rotation_params)}
-        amps = run_batch(self.circuit, bindings, len(keys), shifts=shift_arrays)
+        batch = 1 + 2 * len(self.rotation_params) if need_grad else 1
+        bindings = dict(zip(self.rotation_params, params[: len(self.rotation_params)]))
+        amps = run_batch(self.circuit, bindings, batch, shifts=self._shifts if need_grad else None)
         if self.mode == "exact":
-            rows = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
+            self._exps = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
         else:
             shadow = shadows.collect(amps, self.snapshots, rng)
-            rows = shadows.estimate_pauli(shadow, self.pauli_set, self.n_batches)
-        self._exps = dict(zip(keys, rows))
-        _charge(self.counter, len(keys) * self.snapshots, phase)
+            self._exps = shadows.estimate_pauli(shadow, self.pauli_set, self.n_batches)
+        _charge(self.counter, batch * self.snapshots, phase)
 
-    def _exps_for(self, params, key, rng=None):
-        if key not in self._exps:
+    def _gathered(self, params, need_grad, rng=None, phase=PHASE_EPOCH):
+        if self._exps is None or (need_grad and len(self._exps) == 1):
             # standalone use outside a training loop: gather on demand
-            self.begin_epoch(params, rng or np.random.default_rng(0), need_grad=key is not None)
-        return self._exps[key]
+            self.begin_epoch(params, rng or np.random.default_rng(0), need_grad, phase)
+        return self._exps
 
     # -- classical evaluation ---------------------------------------------
 
@@ -980,23 +952,22 @@ class FlippedModel:
 
     def values(self, params, idx, mode=(), rng=None):
         points = self.eval_points[idx]
-        return self._combine(params, points, tuple(mode), self._exps_for(params, None, rng))
+        return self._combine(params, points, tuple(mode), self._gathered(params, False, rng)[0])
 
     def jacobian(self, params, idx, mode=(), rng=None):
         mode = tuple(mode)
         points = self.eval_points[idx]
         a_out, a_in = params[-4], params[-3]
-        exps = self._exps_for(params, None, rng)
+        gathered = self._gathered(params, True, rng)
+        exps = gathered[0]
         u = self._mapped(params, points)
         j = len(mode)
         basis = self._basis(u, mode)
         series = basis @ exps
         jac = np.zeros((points.shape[0], self.n_params))
-        for k in range(len(self.rotation_params)):
-            plus = self._exps_for(params, (k, +1), rng)
-            minus = self._exps_for(params, (k, -1), rng)
-            jac[:, k] = a_out * a_in**j * (basis @ ((plus - minus) / 2.0))
         n_rot = len(self.rotation_params)
+        # the shift rule for every rotation at once: (plus - minus) / 2 per row pair
+        jac[:, :n_rot] = a_out * a_in**j * (basis @ ((gathered[1::2] - gathered[2::2]) / 2.0).T)
         jac[:, n_rot + 0] = a_in**j * series  # alpha_out
         extra = np.zeros(points.shape[0])  # sum_d x_d * d/du_d of the series
         shift_extra = np.zeros(points.shape[0])
@@ -1015,6 +986,5 @@ class FlippedModel:
 
     def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE, rng=None):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if None not in self._exps:
-            self.begin_epoch(params, rng or np.random.default_rng(0), need_grad=False, phase=phase)
-        return self._combine(params, points, tuple(mode), self._exps[None])
+        exps = self._gathered(params, False, rng, phase)[0]
+        return self._combine(params, points, tuple(mode), exps)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, born_cumulative, rotate_to_bases
+from .statevector import ConfigurationError, StateVector, born_cumulative, rotate_to_bases
 
 BASIS_CODES = "XYZ"
 
@@ -209,4 +209,11 @@ class ShadowBudget:
 
     def snapshots(self, m_points: int, k_order: int) -> int:
         log_term = math.log2(max(2, m_points * (k_order + 1)))
-        return math.ceil(self.c0 * 3**self.w_max * log_term / self.eps**self.exponent)
+        try:
+            return math.ceil(self.c0 * 3**self.w_max * log_term / self.eps**self.exponent)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # eps**exponent underflowed to 0 or overflowed, or M is beyond a float
+            raise ConfigurationError(
+                f"shadow budget M cannot be computed in floating point for c0={self.c0}, "
+                f"eps={self.eps}, exponent={self.exponent}, w_max={self.w_max}"
+            ) from exc

@@ -169,6 +169,12 @@ def test_invalid_config_exit_code(tmp_path):
         args = ("--problem", problem, "--variant", "fs", "--fs-mode", "shadow", *flag)
         assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "v")) == cli.EXIT_CONFIG
         assert run_cli("count", *args) == cli.EXIT_CONFIG
+    # a budget whose arithmetic leaves floating point (eps**exponent underflows
+    # to 0 or overflows, 3**w_max is too large for a float) is refused too
+    for flag in (["--shadow-eps", "1e-200"], ["--shadow-w-max", "1000"], ["--shadow-eps", "1e300"]):
+        args = ("--problem", "burgers", "--variant", "fs", *flag)
+        assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "r")) == cli.EXIT_CONFIG
+        assert run_cli("count", *args) == cli.EXIT_CONFIG
     assert run_cli("run", "--problem", "damped_osc", "--variant", "original", "--grid-m", "1",
                    "--epochs", "1", "--out", str(tmp_path / "u")) == cli.EXIT_CONFIG
     # a 2-local candidate set needs two qubits, and a configuration file has to

@@ -97,7 +97,7 @@ def test_mode_expectations_match_the_shift_rule_oracle(dimension, mode, param, o
     points = rng.uniform(0.0, 1.0, (5, dimension))
     got = models.mode_expectations(
         model.circuit, model._bindings(points, theta), len(points), model.enc_by_dim, mode,
-        model.readout,
+        model.cost,
     )[0]
     for j, point in enumerate(points):
         bindings = {f"x{d}": float(point[d]) for d in range(dimension)}
@@ -110,9 +110,9 @@ def test_mode_expectations_match_direct_simulation():
     circuit = models.encoding_circuit(4, 1, ub_seed=2)
     enc = {0: circuit.gate_indices_for("x0")}
     strings = pauli.enumerate_k_local(4, 1)
-    observables = [pauli.ObservableSum([(1.0, p)]) for p in strings]
+    tables = pauli_tables([p.letters for p in strings])
     xs = np.array([0.2, 0.6])
-    table = models.mode_expectations(circuit, {"x0": xs}, 2, enc, (), models.Readout(observables))
+    table = models.mode_expectations(circuit, {"x0": xs}, 2, enc, (), tables)
     for j, x in enumerate(xs):
         state = circuits.run(circuit, {"x0": float(x)})
         for i, p in enumerate(strings):
@@ -127,7 +127,7 @@ def test_adjoint_gradients_match_parameter_shift():
     bindings.update({p: float(rng.uniform(-np.pi, np.pi)) for p in circuit.variational_params})
     gate_indices = [circuit.gate_indices_for(p)[0] for p in circuit.variational_params]
     amps = circuits.run_batch(circuit, bindings, 1)
-    lam = models.Readout([obs]).apply(amps)
+    lam = models.diagonal_table(obs)[1] * amps
     adj = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices)
     assert adj.shape == (len(gate_indices), 1)
     psr = differentiation.grad_variational(circuit, bindings, obs)
@@ -146,11 +146,11 @@ def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
     bindings = model._bindings(points, theta)
     gate_indices = [model.circuit.gate_indices_for(p)[0] for p in model.rotation_params]
     stacked = models.mode_variational_grads(
-        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.readout, gate_indices
+        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.cost, gate_indices
     )
     assert stacked.shape == (1 + len(gate_indices), len(points))
     expected = models.mode_expectations(
-        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.readout
+        model.circuit, bindings, len(points), model.enc_by_dim, mode, model.cost
     )[0]
     if mode:
         assert np.allclose(stacked[0], expected, rtol=0.0, atol=1e-12)
@@ -172,7 +172,7 @@ def test_original_jets_match_the_shift_rule_reference(dimension, mode):
     theta, idx = params[:-2], np.array([4, 0, 2])
     bindings = model._bindings(points[idx], theta)
     stacked = models.mode_variational_grads(
-        model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.readout, model.gate_indices
+        model.circuit, bindings, len(idx), model.enc_by_dim, mode, model.cost, model.gate_indices
     )
     shift_values = stacked[0]
     values = model.values(params, idx, mode)
@@ -388,7 +388,7 @@ def test_probe_and_row_forms_match_the_shift_rule_reference(problem_name, n_qubi
     for mode in sorted(modes, key=lambda t: (len(t), t)):
         reference = models.mode_variational_grads(
             model.circuit, model._bindings(points, theta), len(idx), model.enc_by_dim, mode,
-            model.readout, model.gate_indices,
+            model.cost, model.gate_indices,
         )
         for form in forms:
             raw, grads = form.raw(theta, idx, mode), form.theta_grads(theta, idx, mode)
@@ -601,33 +601,47 @@ def test_flipped_epoch_charges():
     assert counter.total == (1 + 2 * n_rot) * model.snapshots
     model.begin_epoch(params, np.random.default_rng(1), need_grad=False)
     assert counter.total == (1 + 2 * n_rot) * model.snapshots + model.snapshots
+    # a standalone Jacobian gathers every state once, with nothing gathered
+    # before it or only the state
+    for gather_first in (False, True):
+        fresh = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="exact", counter=EvalCounter())
+        if gather_first:
+            fresh.begin_epoch(params, np.random.default_rng(1), need_grad=False)
+        fresh.jacobian(params, np.arange(3))
+        assert fresh.counter.total == (1 + 2 * n_rot + gather_first) * model.snapshots
 
 
 @pytest.mark.parametrize("mode", ["exact", "shadow"])
 def test_flipped_gathers_every_state_in_one_batch(mode):
-    # reference: one batch-of-one run per state, shadows collected in key order
+    # reference: one batch-of-one run per state, shadows collected in row
+    # order; row 0 is the state, rows 1 + 2k and 2 + 2k its +pi/2 and -pi/2
+    # shifts in rotation k
     model = models.FlippedModel(3, 2, EVAL_POINTS_1D, mode=mode)
     params = model.init_params(np.random.default_rng(6))
+    n_rot = len(model.rotation_params)
     model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
+    assert model._exps.shape == (1 + 2 * n_rot, model.n_basis)
     rng = np.random.default_rng(12)
     bindings = {pid: params[i] for i, pid in enumerate(model.rotation_params)}
     tables = pauli_tables([p.letters for p in model.pauli_set])
-    keys = [None] + [(k, sign) for k in range(len(model.rotation_params)) for sign in (+1, -1)]
-    assert list(model._exps) == keys
-    for key in keys:
-        shifts = {}
-        if key is not None:
-            gate = model.circuit.gate_indices_for(model.rotation_params[key[0]])[0]
-            shifts = {gate: key[1] * models.SHIFT}
+    gates = [model.circuit.gate_indices_for(pid)[0] for pid in model.rotation_params]
+    row_shifts = [{}] + [{gates[k]: sign * models.SHIFT} for k in range(n_rot) for sign in (+1, -1)]
+    expected = []
+    for shifts in row_shifts:
         amps = circuits.run_batch(model.circuit, bindings, 1, shifts=shifts)
         if mode == "exact":
-            expected = pauli_expectation_batch(amps, tables)[0]
+            expected.append(pauli_expectation_batch(amps, tables)[0])
         else:
             shadow = shadows.collect(StateVector(3, amps[0]), model.snapshots, rng)
-            expected = np.array(
+            expected.append(np.array(
                 [shadows.estimate_pauli(shadow, p, model.n_batches) for p in model.pauli_set]
-            )
-        assert np.array_equal(model._exps[key], expected), key
+            ))
+    for row, want in enumerate(expected):
+        assert np.array_equal(model._exps[row], want), row
+    # without gradients only the state is gathered, as row 0 of the same draws
+    model.begin_epoch(params, np.random.default_rng(12), need_grad=False)
+    assert model._exps.shape == (1, model.n_basis)
+    assert np.array_equal(model._exps[0], expected[0])
 
 
 def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):

@@ -67,36 +67,59 @@ def _assert_matches_the_shift_rule(got, reference, mode):
 
 
 def test_mode_expectations_sum_terms_in_order():
-    # multi-term sums (the original model's total Z), a unit string and a
-    # string shared between observables all read off one stacked call; the
-    # reference reads each string of each shift configuration's run, equal
-    # bit for bit at mode () and to rounding for the jets' derivatives
+    # the original model's total-Z diagonal row and plain strings, one shared
+    # between the rows, read off one stacked call; the reference reads each
+    # row of each shift configuration's run, equal bit for bit at mode () and
+    # to rounding for the jets' derivatives
     n = 3
     circuit = models.encoding_circuit(n, 1)
     enc = models._enc_by_dim(circuit, 1)
-    observables = [
-        pauli.sum_of_z(n),
-        pauli.ObservableSum([(1.0, pauli.PauliString("XYZ"))]),
-        pauli.ObservableSum([(0.5, pauli.PauliString("ZII")), (-2.0, pauli.PauliString("IXY"))]),
-    ]
+    diag_src, diag_coef = models.diagonal_table(pauli.sum_of_z(n))
+    src, coef = pauli_tables(["XYZ", "ZII", "IXY", "ZII"])
+    tables = (np.concatenate([diag_src, src]), np.concatenate([diag_coef, coef]))
     bindings = {"x0": POINTS[:, 0]}
     for mode in MODES:
-        got = models.mode_expectations(
-            circuit, bindings, len(POINTS), enc, mode, models.Readout(observables)
-        )
+        got = models.mode_expectations(circuit, bindings, len(POINTS), enc, mode, tables)
 
         def evaluate(shifts):
             amps = models.run_batch(circuit, bindings, len(POINTS), shifts=shifts)
-            rows = []
-            for obs in observables:
-                total = np.zeros(len(POINTS))
-                for coef, pstring in obs.terms:
-                    total += coef * pauli_expectation_batch(amps, pstring.letters)
-                rows.append(total)
+            rows = [pauli_expectation_batch(amps, (s[None], c[None]))[:, 0] for s, c in zip(*tables)]
             return np.stack(rows, axis=0)
 
         reference = models._combine_over_mode(circuit, enc, mode, evaluate)
         _assert_matches_the_shift_rule(got, reference, mode)
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [
+        pauli.sum_of_z(4),
+        pauli.ObservableSum([(0.5, pauli.PauliString("ZIIZ")), (-2.0, pauli.PauliString("IZZI"))]),
+    ],
+    ids=["sum_of_z", "weighted"],
+)
+def test_diagonal_table_equals_the_per_string_read(observable):
+    # one diagonal row against the strings it sums, read one by one: plain
+    # and cross-term (bra) reads agree to 1e-13, the co-state coef * amps to
+    # sum of coef * P|psi>
+    rng = np.random.default_rng(21)
+    amps, bra = _random_states(rng, 22, 4), _random_states(rng, 22, 4)
+    cost = models.diagonal_table(observable)
+    assert cost[0].shape == cost[1].shape == (1, 16)
+    for other in (None, bra):
+        strings = sum(c * pauli_expectation_batch(amps, p.letters, other) for c, p in observable.terms)
+        got = pauli_expectation_batch(amps, cost, other)[:, 0]
+        assert np.allclose(got, strings, rtol=0.0, atol=1e-13)
+    lam = np.zeros_like(amps)
+    for c, p in observable.terms:
+        p_src, p_coef = statevector.pauli_action(p.letters)
+        lam += c * p_coef * amps[:, p_src]
+    assert np.allclose(cost[1] * amps, lam, rtol=0.0, atol=1e-13)
+
+
+def test_diagonal_table_refuses_off_diagonal_strings():
+    with pytest.raises(statevector.ConfigurationError):
+        models.diagonal_table(pauli.ObservableSum([(1.0, pauli.PauliString("ZX"))]))
 
 
 def test_to_table_equals_per_string_reference():
@@ -159,7 +182,7 @@ def test_pauli_tables_built_once_per_table(action_calls, tmp_path):
     model.values_at(params, dense, mode=(0,))
     assert len(action_calls) == d
 
-    # a table read back from disk builds its readout on first use, once,
+    # a table read back from disk builds its tables on first use, once,
     # however many models share it
     path = tmp_path / "table.npz"
     models.save_to_table(table, path)
