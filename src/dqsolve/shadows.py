@@ -8,13 +8,16 @@ match, else 0; estimates aggregate batch means through a median
 
 The classical post-processing is vectorized, the protocol is not: a shadow
 of M snapshots still stands for M preparations of its state.  ``collect``
-takes one state or a batch of S states: it rotates one amplitude row per
-distinct (state, basis setting) pair it draws (at most min(M, 3**n) per
-state) and samples every snapshot from its pair's row.  It draws the
-randomness state after state in a fixed order, so each state's shadow is
-bitwise the one a collect of that state alone would give, and shadows are
-reproducible per seed.  ``estimate_pauli`` reads a whole list of strings off
-every state of a shadow at once.
+takes one state or a batch of S states.  It rotates one amplitude row per
+distinct (state, basis setting) pair it draws, at most min(M, 3**n) per
+state, through a prefix tree of the drawn settings: level q holds one row
+per drawn (state, b_0..b_q) prefix, its parent's row with qubit q rotated,
+so a prefix shared by many settings is rotated once.  Each snapshot's
+outcome is then an n-step bisection over its row's cumulative Born sums.
+It draws the randomness state after state in a fixed order, so each state's
+shadow is bitwise the one a collect of that state alone would give, and
+shadows are reproducible per seed.  ``estimate_pauli`` reads a whole list
+of strings off every state of a shadow at once.
 """
 
 from __future__ import annotations
@@ -25,18 +28,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import ConfigurationError, StateVector, born_cumulative, rotate_to_bases
+from .statevector import (
+    BASIS_ROTATION,
+    ConfigurationError,
+    StateVector,
+    apply_matrix_batch,
+    born_cumulative,
+)
 
 BASIS_CODES = "XYZ"
 
 DEFAULT_LOCALITY_CAP = 2
 
-# Elements one group of states holds at once: Born-table entries (snapshots *
-# 2**n) in ``collect``, snapshot values (snapshots * strings) in
-# ``estimate_pauli``.  Bounds their temporaries, and so the peak memory, to
-# about half a megabyte per group: about 4k snapshots at n = 4.  A group
-# holds at least one state.
+# Eight-byte words one group of states holds at once: prefix-tree rows, their
+# Born sums and per-snapshot indices in ``collect`` (``_collect_words``),
+# snapshot values (snapshots * strings) in ``estimate_pauli``.  Bounds their
+# temporaries, and so the peak memory, to about half a megabyte per group:
+# seven states of 551 snapshots at n = 4.  A group holds at least one state.
 _GROUP_ELEMENTS = 1 << 16
+
+# The largest snapshot budget M per state.  ``collect`` draws all of a batch's
+# bases, uniforms and signs at once, 2n + 8 bytes per snapshot of every state:
+# 32 MB per state at this cap and n = 12.  The default budget is 551 at the
+# damped oscillator's grid.
+MAX_SNAPSHOTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -74,28 +89,74 @@ def collect(states, m_snapshots: int, rng: np.random.Generator) -> ClassicalShad
     # the +1 / -1 outcome of every qubit, per measured basis index
     outcomes = (1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n)) & 1)).astype(np.int8)
     signs = np.empty_like(bases, dtype=np.int8)
-    group = max(1, _GROUP_ELEMENTS // (m_snapshots * dim))
+    group = max(1, _GROUP_ELEMENTS // _collect_words(m_snapshots, n))
     for lo in range(0, n_states, group):
         part = slice(lo, lo + group)
-        # one key per (state, setting) pair: s * 3**n + sum_q b_q * 3**q
-        keys = bases[part] @ 3 ** np.arange(n) + np.arange(n_states)[part, None] * 3**n
-        pairs, inverse = np.unique(keys.ravel(), return_inverse=True)
-        state, setting = np.divmod(pairs, 3**n)
-        settings = setting[:, None] // 3 ** np.arange(n) % 3
-        rotated = amps[state]
-        for q in range(n):
-            for code, letter in enumerate("XY"):
-                rows = settings[:, q] == code
-                if rows.any():
-                    rotated[rows] = rotate_to_bases(
-                        rotated[rows], n, "Z" * q + letter + "Z" * (n - q - 1)
-                    )
-        cum = born_cumulative(rotated)[inverse]
-        indices = (cum < uniforms[part].reshape(-1, 1)).sum(axis=1)
+        indices = _measure(amps[part], bases[part], uniforms[part])
         signs[part] = outcomes[indices].reshape(-1, m_snapshots, n)
     if single:
         return ClassicalShadow(n, bases[0], signs[0])
     return ClassicalShadow(n, bases, signs)
+
+
+def _collect_words(m_snapshots: int, n: int) -> int:
+    """Eight-byte words ``collect`` holds per state of a group.
+
+    Two levels of the prefix tree, or a level and its Born sums: at most
+    min(M, 3**n) rows of 2**n amplitudes each, four words per amplitude.
+    A few index words per snapshot, and per drawable (state, setting) key.
+    """
+    return 4 * min(m_snapshots, 3**n) * 2**n + 6 * m_snapshots + 2 * 3**n
+
+
+def _measure(amps: np.ndarray, bases: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Measured basis index of each of a group's (g, M) snapshots, flat.
+
+    A snapshot's index is the number of its rotated row's cumulative Born
+    sums below its uniform, as ``sample_bitstrings`` counts it.  The sums are
+    nondecreasing, so an n-step bisection finds it.
+    """
+    g, dim = amps.shape
+    n = bases.shape[-1]
+    # one key per (state, setting) pair: sum_q b_q * 3**q * g + state
+    keys = (bases @ (3 ** np.arange(n) * g) + np.arange(g)[:, None]).ravel()
+    rows, leaf = _rotate_drawn_prefixes(amps, n, keys)
+    cum = born_cumulative(rows).ravel()
+    # bisect from the entry before each snapshot's row, top bit first
+    before = leaf * dim - 1
+    at = before.copy()
+    u = uniforms.ravel()
+    for bit in reversed(range(n)):
+        at += (cum[at + (1 << bit)] < u) << bit
+    return at - before
+
+
+def _rotate_drawn_prefixes(amps: np.ndarray, n: int, keys: np.ndarray):
+    """(rows, leaf): every drawn (state, setting) pair's rotated amplitudes.
+
+    ``keys`` are sum_q b_q * 3**q * g + state over a group of g states;
+    ``rows`` holds one row per distinct key, and ``leaf`` is each key's row.
+    Level q of the tree holds one row per drawn prefix (b_q, ..., b_0), each
+    its parent's row with qubit q rotated into basis b_q.  A level's keys
+    have b_q as their most significant digit, so its X rows and its Y rows
+    are two blocks.  Every row sees the same matrices in the same qubit order
+    as a rotation of its state alone.
+    """
+    g = len(amps)
+    drawn = np.zeros(3**n * g, dtype=bool)
+    drawn[keys] = True
+    levels = [drawn]   # drawn prefixes of length n, n - 1, ..., 1
+    for _ in range(n - 1):
+        levels.append(levels[-1].reshape(3, -1).any(axis=0))
+    rows, parent = amps, np.arange(g)   # parent: row of each drawn prefix key
+    for q, level in enumerate(reversed(levels)):
+        children = np.flatnonzero(level)
+        rows = rows[parent[children % (3**q * g)]]
+        x, y = np.searchsorted(children, [3**q * g, 2 * 3**q * g])
+        apply_matrix_batch(rows[:x], n, q, BASIS_ROTATION["X"])
+        apply_matrix_batch(rows[x:y], n, q, BASIS_ROTATION["Y"])
+        parent = np.cumsum(level) - 1
+    return rows, parent[keys]
 
 
 def _as_list(pstrings) -> tuple[list[PauliString], bool]:
@@ -210,10 +271,16 @@ class ShadowBudget:
     def snapshots(self, m_points: int, k_order: int) -> int:
         log_term = math.log2(max(2, m_points * (k_order + 1)))
         try:
-            return math.ceil(self.c0 * 3**self.w_max * log_term / self.eps**self.exponent)
+            m = math.ceil(self.c0 * 3**self.w_max * log_term / self.eps**self.exponent)
         except (OverflowError, ZeroDivisionError) as exc:
             # eps**exponent underflowed to 0 or overflowed, or M is beyond a float
             raise ConfigurationError(
                 f"shadow budget M cannot be computed in floating point for c0={self.c0}, "
                 f"eps={self.eps}, exponent={self.exponent}, w_max={self.w_max}"
             ) from exc
+        if m > MAX_SNAPSHOTS:
+            raise ConfigurationError(
+                f"shadow budget M = {m:.3g} per state exceeds {MAX_SNAPSHOTS}; lower shadow_c0 "
+                f"or shadow_w_max, or raise shadow_eps"
+            )
+        return m

@@ -104,7 +104,7 @@ H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype
 
 # Rotations mapping the +1 eigenvector of X / Y onto |0>, used for measuring
 # in a rotated product basis.
-_BASIS_ROTATION = {
+BASIS_ROTATION = {
     "X": H_MATRIX,
     "Y": H_MATRIX @ np.diag([1.0, -1.0j]).astype(np.complex128),
     "Z": None,
@@ -222,7 +222,7 @@ def rotate_to_bases(amps: np.ndarray, n: int, bases) -> np.ndarray:
     """
     out = amps.copy()
     for q, letter in enumerate(bases):
-        matrix = _BASIS_ROTATION[letter]
+        matrix = BASIS_ROTATION[letter]
         if matrix is not None:
             apply_matrix_batch(out, n, q, matrix)
     return out

@@ -175,6 +175,12 @@ def test_invalid_config_exit_code(tmp_path):
         args = ("--problem", "burgers", "--variant", "fs", *flag)
         assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "r")) == cli.EXIT_CONFIG
         assert run_cli("count", *args) == cli.EXIT_CONFIG
+    # so is a budget that fits in a float but exceeds shadows.MAX_SNAPSHOTS per
+    # state, whose bases collect could not draw (M has 290 digits here)
+    too_many = ("--problem", "damped_osc", "--variant", "fs", "--fs-mode", "shadow",
+                "--shadow-w-max", "600")
+    assert run_cli("run", *too_many, "--epochs", "1", "--out", str(tmp_path / "q")) == cli.EXIT_CONFIG
+    assert run_cli("count", *too_many) == cli.EXIT_CONFIG
     assert run_cli("run", "--problem", "damped_osc", "--variant", "original", "--grid-m", "1",
                    "--epochs", "1", "--out", str(tmp_path / "u")) == cli.EXIT_CONFIG
     # a 2-local candidate set needs two qubits, and a configuration file has to

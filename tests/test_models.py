@@ -647,8 +647,8 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
 def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
     model = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="shadow")
     params = model.init_params(np.random.default_rng(6))
-    estimates, collected, rotations = [], [], []   # rotations: (letters, rows) per rotate call
-    estimate_pauli, collect, rotate = shadows.estimate_pauli, shadows.collect, shadows.rotate_to_bases
+    estimates, collected, rotations = [], [], []   # rotations: (qubit, rows) per kernel call
+    estimate_pauli, collect, rotate = shadows.estimate_pauli, shadows.collect, shadows.apply_matrix_batch
 
     def counting_estimate(*args, **kwargs):
         estimates.append(args[1])
@@ -658,13 +658,13 @@ def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
         collected.append(collect(*args, **kwargs))
         return collected[-1]
 
-    def counting_rotate(amps, n, bases):
-        rotations.append((bases, amps.shape[0]))
-        return rotate(amps, n, bases)
+    def counting_rotate(amps, n, q, matrix):
+        rotations.append((q, amps.shape[0]))
+        rotate(amps, n, q, matrix)
 
     monkeypatch.setattr(shadows, "estimate_pauli", counting_estimate)
     monkeypatch.setattr(shadows, "collect", counting_collect)
-    monkeypatch.setattr(shadows, "rotate_to_bases", counting_rotate)
+    monkeypatch.setattr(shadows, "apply_matrix_batch", counting_rotate)
     model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
     n_states = 1 + 2 * len(model.rotation_params)
     # one collect and one estimate for all 1 + 2p states
@@ -678,7 +678,8 @@ def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
     assert model.snapshots > cap   # per-snapshot rotation would exceed the cap
     assert pairs <= n_states * cap
     for q in range(4):
-        assert sum(rows for letters, rows in rotations if letters[q] != "Z") <= pairs
+        rotated = sum(rows for qubit, rows in rotations if qubit == q)
+        assert 0 < rotated <= pairs
 
 
 def test_flipped_shadow_mode_approaches_exact():

@@ -1,5 +1,7 @@
 """Classical-shadow collection and estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dqsolve import circuits, shadows
 from dqsolve.pauli import PauliString, enumerate_k_local
 from dqsolve.statevector import (
+    ConfigurationError,
     StateVector,
     expectation,
     rotate_to_bases,
@@ -48,40 +51,54 @@ def per_snapshot_collect(state, m_snapshots, rng):
     return bases, (1 - 2 * bits).astype(np.int8)
 
 
+def plateau_states(n):
+    """|0...0>, |1...1>, |+>^n and GHZ: Born rows with exact plateaus in some bases."""
+    dim = 2**n
+    zeros, ones, ghz = np.zeros((3, dim), dtype=np.complex128)
+    zeros[0] = ones[-1] = 1.0
+    ghz[[0, -1]] = np.sqrt(0.5)
+    return [zeros, ones, np.full(dim, np.sqrt(1 / dim), dtype=np.complex128), ghz]
+
+
 @pytest.mark.parametrize("m_snapshots", [1, 7, 551, 5000])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_collect_matches_per_snapshot_sampling(n, m_snapshots):
-    state = random_state(np.random.default_rng(n), n)
-    rng, ref_rng = np.random.default_rng(m_snapshots), np.random.default_rng(m_snapshots)
-    shadow = shadows.collect(state, m_snapshots, rng)
-    bases, signs = per_snapshot_collect(state, m_snapshots, ref_rng)
-    assert shadow.bases.tobytes() == bases.tobytes()
-    assert shadow.signs.tobytes() == signs.tobytes()
-    # same draws in the same order: the generators end in the same state
-    assert rng.random() == ref_rng.random()
+    random = random_state(np.random.default_rng(n), n)
+    for state in [random] + [StateVector(n, amps) for amps in plateau_states(n)]:
+        rng, ref_rng = np.random.default_rng(m_snapshots), np.random.default_rng(m_snapshots)
+        shadow = shadows.collect(state, m_snapshots, rng)
+        bases, signs = per_snapshot_collect(state, m_snapshots, ref_rng)
+        assert shadow.bases.tobytes() == bases.tobytes()
+        assert shadow.signs.tobytes() == signs.tobytes()
+        # same draws in the same order: the generators end in the same state
+        assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("m_snapshots", [1, 7, 551])
 @pytest.mark.parametrize("n_states", [1, 3, 73])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_batched_collect_matches_per_state_collects(n, n_states, m_snapshots):
-    amps = np.stack([random_state(np.random.default_rng([n, s]), n).amplitudes
-                     for s in range(n_states)])
+    random = np.stack([random_state(np.random.default_rng([n, s]), n).amplitudes
+                       for s in range(n_states)])
+    # the plateau states in turn; a batch of 73 holds all four
+    plateaus = np.stack([plateau_states(n)[s % 4] for s in range(n_states)])
     seed = n_states * m_snapshots
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    shadow = shadows.collect(amps, m_snapshots, rng)
-    reference = [per_snapshot_collect(StateVector(n, row), m_snapshots, ref_rng) for row in amps]
-    assert shadow.n_snapshots == m_snapshots
-    assert shadow.bases.shape == shadow.signs.shape == (n_states, m_snapshots, n)
-    assert shadow.bases.tobytes() == np.stack([bases for bases, _ in reference]).tobytes()
-    assert shadow.signs.tobytes() == np.stack([signs for _, signs in reference]).tobytes()
-    assert rng.random() == ref_rng.random()
+    for amps in (random, plateaus):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        shadow = shadows.collect(amps, m_snapshots, rng)
+        reference = [per_snapshot_collect(StateVector(n, row), m_snapshots, ref_rng)
+                     for row in amps]
+        assert shadow.n_snapshots == m_snapshots
+        assert shadow.bases.shape == shadow.signs.shape == (n_states, m_snapshots, n)
+        assert shadow.bases.tobytes() == np.stack([bases for bases, _ in reference]).tobytes()
+        assert shadow.signs.tobytes() == np.stack([signs for _, signs in reference]).tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 def test_batched_collect_spans_several_groups():
     # 73 states of 551 snapshots at n = 4 sample in groups of 7 states, the last one partial
     n, n_states, m_snapshots = 4, 73, 551
-    per_group = shadows._GROUP_ELEMENTS // (m_snapshots * 2**n)
+    per_group = shadows._GROUP_ELEMENTS // shadows._collect_words(m_snapshots, n)
     assert 1 < per_group < n_states and n_states % per_group
     amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
     shadow = shadows.collect(amps, m_snapshots, np.random.default_rng(5))
@@ -90,6 +107,21 @@ def test_batched_collect_spans_several_groups():
         alone = shadows.collect(StateVector(n, row), m_snapshots, ref_rng)
         assert shadow.bases[s].tobytes() == alone.bases.tobytes(), s
         assert shadow.signs[s].tobytes() == alone.signs.tobytes(), s
+
+
+def test_batched_collect_peak_memory():
+    # one flipped-model epoch at n = 4: 73 states of 551 snapshots.  Its
+    # bases, uniforms and signs take 0.64 MB; the groups' temporaries add the rest
+    n, n_states, m_snapshots = 4, 73, 551
+    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        shadows.collect(amps, m_snapshots, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("n_batches", [1, 10, 551])
@@ -238,3 +270,15 @@ def test_budget_scales_logarithmically():
     # halving eps with the square-exponent quadruples the budget
     tight = shadows.ShadowBudget(eps=0.5)
     assert tight.snapshots(20, 1) == pytest.approx(4 * m20, rel=0.01)
+
+
+def test_budget_is_capped():
+    # the default budget is far below the cap and unchanged by it
+    assert shadows.ShadowBudget().snapshots(20, 1) == 543   # ceil(34 * 3 * log2(40))
+    at_cap = shadows.ShadowBudget(c0=shadows.MAX_SNAPSHOTS / 3, w_max=1)
+    assert at_cap.snapshots(1, 0) == shadows.MAX_SNAPSHOTS   # log2(max(2, 1)) = 1
+    over = shadows.ShadowBudget(c0=shadows.MAX_SNAPSHOTS / 3 + 1, w_max=1)
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        over.snapshots(1, 0)
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        shadows.ShadowBudget(w_max=600).snapshots(20, 1)
