@@ -13,18 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import (
-    H_MATRIX,
-    ConfigurationError,
-    StateVector,
-    apply_cnot_batch,
-    apply_matrix_batch,
-    apply_rotation_batch,
-    zero_state,
-)
+from .statevector import MAX_QUBITS, ConfigurationError, apply_cnot_batch, apply_rotation_batch
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
-GATE_KINDS = ROTATION_KINDS + ("H", "CNOT", "FIXED_SU2")
+GATE_KINDS = ROTATION_KINDS + ("CNOT",)
 
 
 @dataclass(frozen=True)
@@ -34,7 +26,6 @@ class GateSpec:
     param: str | None = None      # None means a constant angle
     scale: float = 1.0
     const: float = 0.0            # constant angle, or offset if param is set
-    matrix: tuple | None = None   # row-major 2x2 entries for FIXED_SU2
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -58,6 +49,8 @@ class CircuitSpec:
         return [i for i, g in enumerate(self.gates) if g.param == param]
 
     def __post_init__(self):
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigurationError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.n_qubits:
@@ -87,13 +80,8 @@ def _resolve_angle(gate: GateSpec, bindings, shift):
 def apply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None:
     if gate.kind in ROTATION_KINDS:
         apply_rotation_batch(amps, n, gate.qubits[0], gate.kind[1], _resolve_angle(gate, bindings, shift))
-    elif gate.kind == "H":
-        apply_matrix_batch(amps, n, gate.qubits[0], H_MATRIX)
-    elif gate.kind == "CNOT":
+    else:
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])
-    elif gate.kind == "FIXED_SU2":
-        matrix = np.asarray(gate.matrix, dtype=np.complex128).reshape(2, 2)
-        apply_matrix_batch(amps, n, gate.qubits[0], matrix)
 
 
 def unapply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None:
@@ -101,13 +89,8 @@ def unapply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None
     if gate.kind in ROTATION_KINDS:
         angle = _resolve_angle(gate, bindings, shift)
         apply_rotation_batch(amps, n, gate.qubits[0], gate.kind[1], -np.asarray(angle))
-    elif gate.kind == "H":
-        apply_matrix_batch(amps, n, gate.qubits[0], H_MATRIX)
-    elif gate.kind == "CNOT":
+    else:
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])
-    elif gate.kind == "FIXED_SU2":
-        matrix = np.asarray(gate.matrix, dtype=np.complex128).reshape(2, 2)
-        apply_matrix_batch(amps, n, gate.qubits[0], matrix.conj().T)
 
 
 def run_batch(circuit: CircuitSpec, bindings, batch: int, shifts=None) -> np.ndarray:
@@ -123,14 +106,6 @@ def run_batch(circuit: CircuitSpec, bindings, batch: int, shifts=None) -> np.nda
     for i, gate in enumerate(circuit.gates):
         apply_gate_to_batch(amps, circuit.n_qubits, gate, bindings, shifts.get(i))
     return amps
-
-
-def run(circuit: CircuitSpec, bindings) -> StateVector:
-    """Apply the circuit to |0...0> with scalar bindings."""
-    if not circuit.gates:
-        return zero_state(circuit.n_qubits)
-    amps = run_batch(circuit, bindings, batch=1)
-    return StateVector(circuit.n_qubits, amps[0])
 
 
 def tower_feature_map(n: int, param: str = "x") -> CircuitSpec:
@@ -214,7 +189,6 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
                 "param": g.param,
                 "scale": g.scale,
                 "const": g.const,
-                "matrix": list(g.matrix) if g.matrix is not None else None,
             }
             for g in circuit.gates
         ],
@@ -223,6 +197,8 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
 
 
 def circuit_from_json(text: str) -> CircuitSpec:
+    """Inverse of ``circuit_to_json``.  Older files give every gate a
+    ``"matrix": null`` key; it is ignored."""
     doc = json.loads(text)
     gates = tuple(
         GateSpec(
@@ -231,7 +207,6 @@ def circuit_from_json(text: str) -> CircuitSpec:
             param=g["param"],
             scale=g["scale"],
             const=g["const"],
-            matrix=tuple(g["matrix"]) if g.get("matrix") else None,
         )
         for g in doc["gates"]
     )

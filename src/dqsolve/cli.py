@@ -410,15 +410,15 @@ def cmd_selftest(args) -> int:
     print(f"[{'ok' if ok else 'FAIL'}] viscous-flow closed form has a pole in (0,1) "
           f"near x = {poles[0]:.4f}" if poles else "[FAIL] expected a pole in (0,1)")
 
-    from .circuits import hea, run
+    from .circuits import hea, run_batch
     from .statevector import expectation
 
     circ = hea(4, 1)
     bindings = {pid: float(rng.uniform(-np.pi, np.pi)) for pid in circ.variational_params}
-    psi = run(circ, bindings)
+    psi = run_batch(circ, bindings, 1)
     shadow = shadows.collect(psi, 20000, rng)
     z0 = pauli.PauliString("ZIII")
-    err = abs(shadows.estimate_pauli(shadow, z0) - expectation(psi, z0))
+    err = abs(shadows.estimate_pauli(shadow, [z0])[0, 0] - expectation(psi, z0)[0])
     ok = err < 0.1
     failures += not ok
     print(f"[{'ok' if ok else 'FAIL'}] shadow estimate within 0.1 of exact: err={err:.3f}")

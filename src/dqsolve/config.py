@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields
 
 # one error class for every layer: the circuits and the statevector raise it too
-from .statevector import ConfigurationError
+from .statevector import MAX_QUBITS, ConfigurationError
 
 PROBLEMS = ("damped_osc", "burgers", "coupled", "twod_linear")
 VARIANTS = ("original", "to", "fs")
@@ -62,12 +62,14 @@ class RunConfig:
                 raise ConfigurationError(
                     f"{name} must be one of {', '.join(allowed)}; got {value!r}"
                 )
-        if not 1 <= self.n_qubits <= 12:
-            raise ConfigurationError("n_qubits must be between 1 and 12")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigurationError(f"n_qubits must be between 1 and {MAX_QUBITS}")
         if self.depth < 1:
             raise ConfigurationError("depth must be at least 1")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be at least 1")
+        if self.seed < 0 or self.ub_seed < 0:   # numpy's generators refuse them
+            raise ConfigurationError(f"seeds must be nonnegative; got {self.seed} and {self.ub_seed}")
         # comparisons with nan are false, so "not 0 < x" rejects nan too
         if not 0 < self.lr < math.inf:
             raise ConfigurationError(f"lr must be positive and finite; got {self.lr}")

@@ -8,11 +8,11 @@ match, else 0; estimates aggregate batch means through a median
 
 The classical post-processing is vectorized, the protocol is not: a shadow
 of M snapshots still stands for M preparations of its state.  ``collect``
-takes one state or a batch of S states.  It rotates one amplitude row per
-distinct (state, basis setting) pair it draws, at most min(M, 3**n) per
-state, through a prefix tree of the drawn settings: level q holds one row
-per drawn (state, b_0..b_q) prefix, its parent's row with qubit q rotated,
-so a prefix shared by many settings is rotated once.  Each snapshot's
+takes a batch of S amplitude rows; one state is a batch of one.  It rotates
+one amplitude row per distinct (state, basis setting) pair it draws, at most
+min(M, 3**n) per state, through a prefix tree of the drawn settings: level q
+holds one row per drawn (state, b_0..b_q) prefix, its parent's row with
+qubit q rotated, so a prefix shared by many settings is rotated once.  Each snapshot's
 outcome is then an n-step bisection over its row's cumulative Born sums.
 It draws the randomness state after state in a fixed order, so each state's
 shadow is bitwise the one a collect of that state alone would give, and
@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString
-from .statevector import (
-    BASIS_ROTATION,
-    ConfigurationError,
-    StateVector,
-    apply_matrix_batch,
-    born_cumulative,
-)
+from .statevector import BASIS_ROTATION, ConfigurationError, apply_matrix_batch, born_cumulative
 
 BASIS_CODES = "XYZ"
 
@@ -57,27 +50,26 @@ MAX_SNAPSHOTS = 1_000_000
 @dataclass(frozen=True)
 class ClassicalShadow:
     n_qubits: int
-    bases: np.ndarray    # (M, n), or (S, M, n) for S states: uint8 indices into "XYZ"
+    bases: np.ndarray    # (S, M, n) for S states: uint8 indices into "XYZ"
     signs: np.ndarray    # same shape, int8, +1 / -1 measurement outcomes
 
     @property
     def n_snapshots(self) -> int:
         """Snapshots per state, M."""
-        return self.bases.shape[-2]
+        return self.bases.shape[1]
 
 
 def collect(states, m_snapshots: int, rng: np.random.Generator) -> ClassicalShadow:
     """Draw ``m_snapshots`` randomized-basis measurements of every state.
 
-    ``states`` is one StateVector, giving (M, n) bases and signs, or an (S,
-    2**n) array of amplitude rows, giving (S, M, n) ones.  Each state draws
-    its bases and then its outcome uniforms, state after state, as S
-    single-state collects from the same generator would.
+    ``states`` is an (S, 2**n) array of amplitude rows, giving (S, M, n)
+    bases and signs.  Each state draws its bases and then its outcome
+    uniforms, state after state, as S collects of one state each from the
+    same generator would.
     """
     if m_snapshots < 1:
         raise ValueError("need at least one snapshot")
-    single = isinstance(states, StateVector)
-    amps = states.amplitudes[None, :] if single else np.asarray(states)
+    amps = np.asarray(states)
     n_states, dim = amps.shape
     n = dim.bit_length() - 1
     # the draws do not depend on the amplitudes, so take them all first
@@ -94,8 +86,6 @@ def collect(states, m_snapshots: int, rng: np.random.Generator) -> ClassicalShad
         part = slice(lo, lo + group)
         indices = _measure(amps[part], bases[part], uniforms[part])
         signs[part] = outcomes[indices].reshape(-1, m_snapshots, n)
-    if single:
-        return ClassicalShadow(n, bases[0], signs[0])
     return ClassicalShadow(n, bases, signs)
 
 
@@ -159,13 +149,6 @@ def _rotate_drawn_prefixes(amps: np.ndarray, n: int, keys: np.ndarray):
     return rows, parent[keys]
 
 
-def _as_list(pstrings) -> tuple[list[PauliString], bool]:
-    """(strings, single): one PauliString or a sequence of them."""
-    if isinstance(pstrings, PauliString):
-        return [pstrings], True
-    return list(pstrings), False
-
-
 def _values(bases: np.ndarray, signs: np.ndarray, strings) -> np.ndarray:
     """String-major values of K snapshots' (..., n) outcomes, shape (d, K).
 
@@ -188,35 +171,30 @@ def _values(bases: np.ndarray, signs: np.ndarray, strings) -> np.ndarray:
     return values
 
 
-def snapshot_values(shadow: ClassicalShadow, pstrings) -> np.ndarray:
+def snapshot_values(shadow: ClassicalShadow, strings) -> np.ndarray:
     """Per-snapshot inverse-channel estimator values; support is {0, +-3**w}.
 
-    One string gives shape (M,), a sequence of d strings gives (M, d); a
-    shadow of S states prepends an S axis.  An identity string's column is
-    all 1.
+    A sequence of d strings gives shape (S, M, d).  An identity string's
+    column is all 1.
     """
-    strings, single = _as_list(pstrings)
     values = _values(shadow.bases, shadow.signs, strings).T
-    values = values.reshape(shadow.bases.shape[:-1] + (len(strings),))
-    return values[..., 0] if single else values
+    return values.reshape(shadow.bases.shape[:-1] + (len(strings),))
 
 
 def estimate_pauli(
     shadow: ClassicalShadow,
-    pstrings,
+    strings,
     n_batches: int = 1,
     locality_cap: int = DEFAULT_LOCALITY_CAP,
-):
+) -> np.ndarray:
     """Median-of-means estimate of <P>; n_batches=1 is the plain mean.
 
-    One PauliString gives a float, a sequence of d strings an array of d
-    estimates; a shadow of S states gives (S,) or (S, d), each state's row
+    A sequence of d strings gives (S, d) estimates, each state's row
     C-contiguous.  Batches follow ``np.array_split`` within each state;
     every snapshot value is an integer, so the batch sums are exact and the
     estimates depend neither on how many strings nor on how many states are
     read at once.
     """
-    strings, single = _as_list(pstrings)
     n, d = shadow.n_qubits, len(strings)
     for p in strings:
         if p.weight > locality_cap:
@@ -231,23 +209,18 @@ def estimate_pauli(
     sizes = np.full(n_batches, m // n_batches)
     sizes[: m % n_batches] += 1
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    lead = shadow.bases.shape[:-2]
-    n_states = math.prod(lead)
-    bases, signs = shadow.bases.reshape(n_states, m, n), shadow.signs.reshape(n_states, m, n)
+    n_states = len(shadow.bases)
     sums = np.empty((d, n_states, n_batches))
     group = max(1, _GROUP_ELEMENTS // (m * max(1, d)))
     for lo in range(0, n_states, group):
         part = slice(lo, lo + group)
-        values = _values(bases[part], signs[part], strings)
+        values = _values(shadow.bases[part], shadow.signs[part], strings)
         g = values.shape[1] // m
         # batch b of the group's state s starts at s * M + starts[b]
         offsets = (np.arange(g)[:, None] * m + starts).ravel()
         sums[:, lo : lo + g] = np.add.reduceat(values, offsets, axis=1).reshape(d, g, n_batches)
     medians = np.median(sums / sizes, axis=2)
-    estimates = np.ascontiguousarray(medians.T).reshape(lead + (d,))
-    if single:
-        estimates = estimates[..., 0]
-    return float(estimates) if estimates.ndim == 0 else estimates
+    return np.ascontiguousarray(medians.T)
 
 
 def default_batches(n_observables: int) -> int:

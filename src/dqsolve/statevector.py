@@ -7,40 +7,21 @@ Conventions used throughout the package:
 * Pauli rotations are R_P(theta) = exp(-i * theta * P / 2), which makes the
   standard parameter-shift rule (shifts of +-pi/2, prefactor 1/2) exact.
 
-The low-level kernels operate on batches of amplitude vectors with shape
-(batch, 2**n) so that many circuit evaluations (grid points, shifted
-parameters) can run in one numpy call.  ``StateVector`` wraps the batch=1
-case and is the unit handed between modules.
+Every state is an amplitude row: the kernels, the readout and the shadows
+take batches of shape (batch, 2**n), so that many circuit evaluations (grid
+points, shifted parameters) run in one numpy call, and one state is a batch
+of one.  Pauli strings are read through their ``pauli_tables``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 MAX_QUBITS = 12
 
-BASIS_LETTERS = ("X", "Y", "Z")
-
 
 class ConfigurationError(ValueError):
     """Raised for invalid register sizes, qubit indices or gate kinds."""
-
-
-@dataclass(frozen=True)
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray  # shape (2**n_qubits,), complex128
-
-
-def zero_state(n: int) -> StateVector:
-    """|0...0> on ``n`` qubits."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ConfigurationError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(n, amps)
 
 
 def _check_qubit(n: int, q: int) -> None:
@@ -173,23 +154,20 @@ def _real(vals: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def pauli_expectation_batch(amps: np.ndarray, letters, bra=None) -> np.ndarray:
+def pauli_expectation_batch(amps: np.ndarray, tables, bra=None) -> np.ndarray:
     """<psi|P|psi> for every row, or Re<bra|P|psi> with the rows ``bra`` given.
 
-    ``letters`` is either one Pauli string, giving a real array of shape
-    (batch,), or the ``pauli_tables`` of d strings, giving a real array of
-    shape (batch, d) that reads all of them in one pass.  Both forms contract
-    each string the same way, so their values are bit-identical.  The (batch,
-    d) result is a transposed view of a string-major array, the layout a
-    per-string loop stacked on axis 0 would give.  Only a Hermitian read (no
+    ``tables`` is the ``pauli_tables`` pair of d strings; the result is a
+    real array of shape (batch, d) that reads all of them in one pass.  Each
+    string is contracted as a per-string ``einsum("bi,bi->b", ...)`` would
+    contract it, so the values are bit-identical to that loop's, and the
+    (batch, d) result is a transposed view of a string-major array, the
+    layout the loop stacked on axis 0 would give.  Only a Hermitian read (no
     ``bra``) is checked for an imaginary part; a cross term has one by nature.
     """
     real = _real if bra is None else np.real
     conj = np.conj(amps if bra is None else bra)
-    if isinstance(letters, str):
-        src, coef = pauli_action(letters)
-        return real(np.einsum("bi,bi->b", conj, coef[None, :] * amps[:, src]))
-    src, coef = letters
+    src, coef = tables
     out = np.empty((src.shape[0], amps.shape[0]))
     step = max(1, _READOUT_CHUNK // amps.size)
     for lo in range(0, src.shape[0], step):
@@ -199,20 +177,26 @@ def pauli_expectation_batch(amps: np.ndarray, letters, bra=None) -> np.ndarray:
     return out.T
 
 
-def expectation(state: StateVector, obs) -> float:
-    """Expectation of an ObservableSum (or a single PauliString) on ``state``."""
+def expectation(amps: np.ndarray, obs) -> np.ndarray:
+    """<psi|obs|psi> of every row for an ObservableSum (or one PauliString), shape (batch,).
+
+    Every term is read in one ``pauli_tables`` pass; a string on fewer qubits
+    than the rows is padded with identities.  A sum with no terms reads 0.
+    """
     terms = getattr(obs, "terms", None)
     if terms is None:
         terms = [(1.0, obs)]
-    amps = state.amplitudes[None, :]
-    total = 0.0
-    for coef, pstring in terms:
-        letters = pstring.letters if hasattr(pstring, "letters") else str(pstring)
-        if len(letters) > state.n_qubits:
-            raise ConfigurationError("observable acts on more qubits than the state has")
-        padded = letters + "I" * (state.n_qubits - len(letters))
-        total += coef * pauli_expectation_batch(amps, padded)[0]
-    return float(total)
+    n = amps.shape[1].bit_length() - 1
+    labels = [str(p) for _, p in terms]
+    if any(len(letters) > n for letters in labels):
+        raise ConfigurationError("observable acts on more qubits than the state has")
+    total = np.zeros(amps.shape[0])
+    if not labels:
+        return total
+    values = pauli_expectation_batch(amps, pauli_tables([s + "I" * (n - len(s)) for s in labels]))
+    for (coef, _), column in zip(terms, values.T):
+        total += coef * column   # term by term, so each row's sum is independent of the batch
+    return total
 
 
 def rotate_to_bases(amps: np.ndarray, n: int, bases) -> np.ndarray:

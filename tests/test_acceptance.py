@@ -12,7 +12,7 @@ import pytest
 
 from dqsolve import cli, differentiation, models, pauli, problems, shadows, training
 from dqsolve.config import default_config
-from dqsolve.statevector import StateVector, expectation
+from dqsolve.statevector import expectation
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -274,7 +274,7 @@ def test_criterion_7_shadow_statistics():
     for _ in range(20):
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
+        state = amps[None]
         shadow = shadows.collect(state, m_snapshots, rng)
         weight = int(rng.integers(1, 3))
         positions = rng.choice(4, size=weight, replace=False)
@@ -282,11 +282,11 @@ def test_criterion_7_shadow_statistics():
         for q in positions:
             letters[q] = "XYZ"[rng.integers(0, 3)]
         pstring = pauli.PauliString("".join(letters))
-        values = shadows.snapshot_values(shadow, pstring)
+        values = shadows.snapshot_values(shadow, [pstring])
         allowed = {0.0, 3.0**weight, -(3.0**weight)}
         support_ok &= set(np.unique(values)) <= allowed
-        estimate = shadows.estimate_pauli(shadow, pstring)
-        exact = expectation(state, pstring)
+        estimate = shadows.estimate_pauli(shadow, [pstring])[0, 0]
+        exact = expectation(state, pstring)[0]
         if abs(estimate - exact) > 3.0 * np.sqrt(3.0**weight / m_snapshots):
             failures += 1
     elapsed = time.time() - start

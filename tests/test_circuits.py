@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from dqsolve import circuits
 from dqsolve.pauli import ObservableSum, PauliString, sum_of_z
-from dqsolve.statevector import ConfigurationError, pauli_expectation_batch
+from dqsolve.statevector import ConfigurationError, expectation
 
 
 def expectation_of_x(circuit, obs, x, extra=None):
     bindings = {"x": x}
     bindings.update(extra or {})
-    amps = circuits.run_batch(circuit, bindings, batch=1)
-    total = 0.0
-    for coef, pstring in obs.terms:
-        total += coef * pauli_expectation_batch(amps, pstring.letters)[0]
-    return total
+    return expectation(circuits.run_batch(circuit, bindings, batch=1), obs)[0]
 
 
 def test_tower_feature_map_scales():
@@ -139,6 +135,13 @@ def test_undeclared_parameter_rejected():
         circuits.CircuitSpec(1, (circuits.GateSpec("RX", (0,), param="mystery"),))
 
 
+@pytest.mark.parametrize("kind", ["H", "FIXED_SU2"])
+def test_unknown_gate_kind_rejected(kind):
+    # rotations and CNOT are the only kinds a circuit builder emits
+    with pytest.raises(ConfigurationError):
+        circuits.GateSpec(kind, (0,))
+
+
 def test_json_round_trip():
     circuit = circuits.compose(
         circuits.split_tower_feature_map(4, ("x0", "x1")),
@@ -156,7 +159,7 @@ def test_run_is_normalized_and_deterministic(n, depth, seed):
     circuit = circuits.compose(circuits.tower_feature_map(n, "x"), circuits.hea(n, depth))
     bindings = {"x": float(rng.uniform(0, 1))}
     bindings.update({p: float(rng.uniform(-3, 3)) for p in circuit.variational_params})
-    first = circuits.run(circuit, bindings)
-    second = circuits.run(circuit, bindings)
-    assert np.vdot(first.amplitudes, first.amplitudes).real == pytest.approx(1.0)
-    assert np.array_equal(first.amplitudes, second.amplitudes)
+    first = circuits.run_batch(circuit, bindings, 1)[0]
+    second = circuits.run_batch(circuit, bindings, 1)[0]
+    assert np.vdot(first, first).real == pytest.approx(1.0)
+    assert np.array_equal(first, second)

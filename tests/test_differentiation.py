@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqsolve import circuits, differentiation, pauli
@@ -63,6 +63,9 @@ def test_d_dx_exact_on_single_qubit():
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 2**31 - 1))
+# a three-point second difference missed the 1e-4 bound at these two
+@example(n=4, seed=2743)
+@example(n=4, seed=8005)
 def test_d_dx_matches_finite_differences(n, seed):
     rng = np.random.default_rng(seed)
     circuit = make_circuit(n)

@@ -1,6 +1,7 @@
 """The three trial-function families: values, Jacobians, charges, tables."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from numpy.polynomial import chebyshev as npcheb
 from dqsolve import circuits, differentiation, models, pauli, problems, shadows, training
 from dqsolve.statevector import (
     ConfigurationError,
-    StateVector,
     expectation,
     pauli_expectation_batch,
     pauli_tables,
@@ -114,9 +114,9 @@ def test_mode_expectations_match_direct_simulation():
     xs = np.array([0.2, 0.6])
     table = models.mode_expectations(circuit, {"x0": xs}, 2, enc, (), tables)
     for j, x in enumerate(xs):
-        state = circuits.run(circuit, {"x0": float(x)})
+        state = circuits.run_batch(circuit, {"x0": float(x)}, 1)
         for i, p in enumerate(strings):
-            assert table[i, j] == pytest.approx(expectation(state, p), abs=1e-12)
+            assert table[i, j] == pytest.approx(expectation(state, p)[0], abs=1e-12)
 
 
 def test_adjoint_gradients_match_parameter_shift():
@@ -435,8 +435,8 @@ def test_original_values_match_direct_simulation():
     for row, i in enumerate(idx):
         bindings = {"x0": float(EVAL_POINTS_1D[i, 0])}
         bindings.update({p: theta[k] for k, p in enumerate(model.rotation_params)})
-        state = circuits.run(model.circuit, bindings)
-        expected = params[-2] * expectation(state, model.observable) + params[-1]
+        state = circuits.run_batch(model.circuit, bindings, 1)
+        expected = params[-2] * expectation(state, model.observable)[0] + params[-1]
         assert vals[row] == pytest.approx(expected, abs=1e-12)
 
 
@@ -488,9 +488,9 @@ def test_to_table_matches_direct_simulation():
     table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4, ub_seed=2)
     circuit = models.encoding_circuit(4, 1, ub_seed=2)
     for i, x in enumerate(EVAL_POINTS_1D[:, 0]):
-        state = circuits.run(circuit, {"x0": float(x)})
+        state = circuits.run_batch(circuit, {"x0": float(x)}, 1)
         for j, p in enumerate(strings):
-            assert table.entries[()][i, j] == pytest.approx(expectation(state, p), abs=1e-12)
+            assert table.entries[()][i, j] == pytest.approx(expectation(state, p)[0], abs=1e-12)
 
 
 def test_to_precompute_charge_formula():
@@ -552,6 +552,26 @@ def test_to_table_save_load_round_trip(tmp_path):
     for mode in table.modes:
         assert np.array_equal(clone.entries[mode], table.entries[mode])
     assert clone.provenance["ub_seed"] == table.provenance["ub_seed"]
+
+
+def test_to_table_with_matrix_keys_loads(tmp_path):
+    # tables written before the fixed-matrix gate kinds were removed give every
+    # provenance gate a "matrix": null key; they load and infer bit for bit
+    strings = pauli.enumerate_k_local(4, 2)
+    table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4)
+    provenance = json.loads(json.dumps(table.provenance))
+    for gate in provenance["circuit"]["gates"]:
+        gate["matrix"] = None
+    header = json.dumps({"modes": [[], [0]], "labels": list(table.labels), "provenance": provenance})
+    path = tmp_path / "old_table.npz"
+    np.savez(path, points=table.points, header=np.frombuffer(header.encode(), dtype=np.uint8),
+             mode_value=table.entries[()], mode_0=table.entries[(0,)])
+    old, fresh = models.TOModel(models.load_to_table(path)), models.TOModel(table)
+    params, idx = fresh.init_params(np.random.default_rng(4)), np.arange(len(EVAL_POINTS_1D))
+    dense = np.linspace(0.0, 1.0, 11)[:, None]
+    for mode in [(), (0,)]:
+        assert np.array_equal(old.values(params, idx, mode), fresh.values(params, idx, mode))
+        assert np.array_equal(old.values_at(params, dense, mode), fresh.values_at(params, dense, mode))
 
 
 def test_to_model_unknown_mode_rejected():
@@ -632,9 +652,9 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
         if mode == "exact":
             expected.append(pauli_expectation_batch(amps, tables)[0])
         else:
-            shadow = shadows.collect(StateVector(3, amps[0]), model.snapshots, rng)
+            shadow = shadows.collect(amps, model.snapshots, rng)
             expected.append(np.array(
-                [shadows.estimate_pauli(shadow, p, model.n_batches) for p in model.pauli_set]
+                [shadows.estimate_pauli(shadow, [p], model.n_batches)[0, 0] for p in model.pauli_set]
             ))
     for row, want in enumerate(expected):
         assert np.array_equal(model._exps[row], want), row

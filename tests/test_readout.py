@@ -16,8 +16,15 @@ def _random_states(rng, batch, n):
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def _per_string(amps, labels):
-    return np.stack([pauli_expectation_batch(amps, s) for s in labels], axis=1)
+def _read_string(amps, letters, bra=None):
+    """The local reference: one string's <psi|P|psi>, or Re<bra|P|psi>, per row."""
+    src, coef = statevector.pauli_action(letters)
+    conj = np.conj(amps if bra is None else bra)
+    return np.einsum("bi,bi->b", conj, coef[None, :] * amps[:, src]).real
+
+
+def _per_string(amps, labels, bra=None):
+    return np.stack([_read_string(amps, s, bra) for s in labels], axis=1)
 
 
 STRING_SETS = [pauli.all_strings(n) for n in range(1, 6)] + [pauli.enumerate_k_local(6, 2)]
@@ -50,7 +57,7 @@ def test_stacked_readout_reads_cross_terms():
     amps, bra = _random_states(rng, 22, 5), _random_states(rng, 22, 5)
     labels = [p.letters for p in pauli.all_strings(5)]
     got = pauli_expectation_batch(amps, pauli_tables(labels), bra)
-    assert np.array_equal(got, np.stack([pauli_expectation_batch(amps, s, bra) for s in labels], axis=1))
+    assert np.array_equal(got, _per_string(amps, labels, bra))
     src, coef = pauli_tables(labels)
     direct = np.einsum("bi,dbi->bd", np.conj(bra), coef[:, None, :] * amps[:, src].transpose(1, 0, 2))
     assert np.allclose(got, direct.real, rtol=0.0, atol=1e-12)
@@ -107,7 +114,7 @@ def test_diagonal_table_equals_the_per_string_read(observable):
     cost = models.diagonal_table(observable)
     assert cost[0].shape == cost[1].shape == (1, 16)
     for other in (None, bra):
-        strings = sum(c * pauli_expectation_batch(amps, p.letters, other) for c, p in observable.terms)
+        strings = sum(c * _read_string(amps, p.letters, other) for c, p in observable.terms)
         got = pauli_expectation_batch(amps, cost, other)[:, 0]
         assert np.allclose(got, strings, rtol=0.0, atol=1e-13)
     lam = np.zeros_like(amps)
@@ -135,7 +142,7 @@ def test_to_table_equals_per_string_reference():
 
         def evaluate(shifts):
             amps = models.run_batch(circuit, bindings, len(points), shifts=shifts)
-            return np.stack([pauli_expectation_batch(amps, p.letters) for p in strings], axis=0)
+            return np.stack([_read_string(amps, p.letters) for p in strings], axis=0)
 
         return models._combine_over_mode(circuit, enc, mode, evaluate).T  # (n_pts, d)
 

@@ -11,36 +11,35 @@ from dqsolve import circuits, shadows
 from dqsolve.pauli import PauliString, enumerate_k_local
 from dqsolve.statevector import (
     ConfigurationError,
-    StateVector,
     expectation,
     rotate_to_bases,
     sample_bitstrings,
-    zero_state,
 )
 
 
 def random_state(rng, n):
+    """One random state, as a batch of one: shape (1, 2**n)."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
-    return StateVector(n, amps)
+    return amps[None]
 
 
 def test_collect_shapes_and_determinism():
     state = random_state(np.random.default_rng(0), 3)
     a = shadows.collect(state, 50, np.random.default_rng(42))
     b = shadows.collect(state, 50, np.random.default_rng(42))
-    assert a.bases.shape == (50, 3)
-    assert a.signs.shape == (50, 3)
+    assert a.bases.shape == (1, 50, 3)
+    assert a.signs.shape == (1, 50, 3)
     assert np.array_equal(a.bases, b.bases)
     assert np.array_equal(a.signs, b.signs)
     assert set(np.unique(a.signs)) <= {-1, 1}
 
 
 def per_snapshot_collect(state, m_snapshots, rng):
-    """Reference collection: rotate and sample one amplitude row per snapshot."""
-    n = state.n_qubits
+    """Reference collection of one amplitude row: rotate and sample one row per snapshot."""
+    n = len(state).bit_length() - 1
     bases = rng.integers(0, 3, size=(m_snapshots, n), dtype=np.uint8)
-    amps = np.tile(state.amplitudes, (m_snapshots, 1))
+    amps = np.tile(state, (m_snapshots, 1))
     for q in range(n):
         for code, letter in enumerate("XY"):
             rows = bases[:, q] == code
@@ -63,13 +62,13 @@ def plateau_states(n):
 @pytest.mark.parametrize("m_snapshots", [1, 7, 551, 5000])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_collect_matches_per_snapshot_sampling(n, m_snapshots):
-    random = random_state(np.random.default_rng(n), n)
-    for state in [random] + [StateVector(n, amps) for amps in plateau_states(n)]:
+    random = random_state(np.random.default_rng(n), n)[0]
+    for state in [random] + plateau_states(n):
         rng, ref_rng = np.random.default_rng(m_snapshots), np.random.default_rng(m_snapshots)
-        shadow = shadows.collect(state, m_snapshots, rng)
+        shadow = shadows.collect(state[None], m_snapshots, rng)
         bases, signs = per_snapshot_collect(state, m_snapshots, ref_rng)
-        assert shadow.bases.tobytes() == bases.tobytes()
-        assert shadow.signs.tobytes() == signs.tobytes()
+        assert shadow.bases[0].tobytes() == bases.tobytes()
+        assert shadow.signs[0].tobytes() == signs.tobytes()
         # same draws in the same order: the generators end in the same state
         assert rng.random() == ref_rng.random()
 
@@ -78,16 +77,15 @@ def test_collect_matches_per_snapshot_sampling(n, m_snapshots):
 @pytest.mark.parametrize("n_states", [1, 3, 73])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_batched_collect_matches_per_state_collects(n, n_states, m_snapshots):
-    random = np.stack([random_state(np.random.default_rng([n, s]), n).amplitudes
-                       for s in range(n_states)])
+    random = np.concatenate([random_state(np.random.default_rng([n, s]), n)
+                             for s in range(n_states)])
     # the plateau states in turn; a batch of 73 holds all four
     plateaus = np.stack([plateau_states(n)[s % 4] for s in range(n_states)])
     seed = n_states * m_snapshots
     for amps in (random, plateaus):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         shadow = shadows.collect(amps, m_snapshots, rng)
-        reference = [per_snapshot_collect(StateVector(n, row), m_snapshots, ref_rng)
-                     for row in amps]
+        reference = [per_snapshot_collect(row, m_snapshots, ref_rng) for row in amps]
         assert shadow.n_snapshots == m_snapshots
         assert shadow.bases.shape == shadow.signs.shape == (n_states, m_snapshots, n)
         assert shadow.bases.tobytes() == np.stack([bases for bases, _ in reference]).tobytes()
@@ -100,20 +98,20 @@ def test_batched_collect_spans_several_groups():
     n, n_states, m_snapshots = 4, 73, 551
     per_group = shadows._GROUP_ELEMENTS // shadows._collect_words(m_snapshots, n)
     assert 1 < per_group < n_states and n_states % per_group
-    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    amps = np.concatenate([random_state(np.random.default_rng(s), n) for s in range(n_states)])
     shadow = shadows.collect(amps, m_snapshots, np.random.default_rng(5))
     ref_rng = np.random.default_rng(5)
     for s, row in enumerate(amps):
-        alone = shadows.collect(StateVector(n, row), m_snapshots, ref_rng)
-        assert shadow.bases[s].tobytes() == alone.bases.tobytes(), s
-        assert shadow.signs[s].tobytes() == alone.signs.tobytes(), s
+        alone = shadows.collect(row[None], m_snapshots, ref_rng)
+        assert shadow.bases[s].tobytes() == alone.bases[0].tobytes(), s
+        assert shadow.signs[s].tobytes() == alone.signs[0].tobytes(), s
 
 
 def test_batched_collect_peak_memory():
     # one flipped-model epoch at n = 4: 73 states of 551 snapshots.  Its
     # bases, uniforms and signs take 0.64 MB; the groups' temporaries add the rest
     n, n_states, m_snapshots = 4, 73, 551
-    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    amps = np.concatenate([random_state(np.random.default_rng(s), n) for s in range(n_states)])
     rng = np.random.default_rng(9)
     tracemalloc.start()
     try:
@@ -128,29 +126,29 @@ def test_batched_collect_peak_memory():
 @pytest.mark.parametrize("locality", [1, 2])
 def test_batched_estimates_match_per_state_calls(locality, n_batches):
     n, n_states = 4, 7
-    amps = np.stack([random_state(np.random.default_rng(s), n).amplitudes for s in range(n_states)])
+    amps = np.concatenate([random_state(np.random.default_rng(s), n) for s in range(n_states)])
     shadow = shadows.collect(amps, 551, np.random.default_rng(23))
     strings = enumerate_k_local(n, locality)
     together = shadows.estimate_pauli(shadow, strings, n_batches)
     assert together.shape == (n_states, len(strings))
     # one string over every state gives that string's column
-    last = shadows.estimate_pauli(shadow, strings[-1], n_batches)
-    assert last.shape == (n_states,)
+    last = shadows.estimate_pauli(shadow, strings[-1:], n_batches)
+    assert last.shape == (n_states, 1)
     for s in range(n_states):
-        alone = shadows.ClassicalShadow(n, shadow.bases[s], shadow.signs[s])
-        expected = shadows.estimate_pauli(alone, strings, n_batches)
+        alone = shadows.ClassicalShadow(n, shadow.bases[s : s + 1], shadow.signs[s : s + 1])
+        expected = shadows.estimate_pauli(alone, strings, n_batches)[0]
         assert together[s].flags.c_contiguous
         assert together[s].tobytes() == expected.tobytes(), s
-        assert last[s] == shadows.estimate_pauli(alone, strings[-1], n_batches)
+        assert last[s, 0] == shadows.estimate_pauli(alone, strings[-1:], n_batches)[0, 0]
     values = shadows.snapshot_values(shadow, strings)
     assert values.shape == (n_states, 551, len(strings))
     assert values[2].tobytes() == shadows.snapshot_values(
-        shadows.ClassicalShadow(n, shadow.bases[2], shadow.signs[2]), strings).tobytes()
+        shadows.ClassicalShadow(n, shadow.bases[2:3], shadow.signs[2:3]), strings)[0].tobytes()
 
 
 def test_collect_rejects_empty():
     with pytest.raises(ValueError):
-        shadows.collect(zero_state(1), 0, np.random.default_rng(0))
+        shadows.collect(np.array([[1.0, 0.0]], dtype=np.complex128), 0, np.random.default_rng(0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -161,7 +159,7 @@ def test_snapshot_values_support(n, seed):
     shadow = shadows.collect(state, 40, rng)
     letters = "".join(rng.choice(list("IXYZ"), size=n))
     pstring = PauliString(letters)
-    values = shadows.snapshot_values(shadow, pstring)
+    values = shadows.snapshot_values(shadow, [pstring])
     allowed = {0.0, float(3**pstring.weight), -float(3**pstring.weight)}
     assert set(np.unique(values)) <= allowed
 
@@ -169,7 +167,7 @@ def test_snapshot_values_support(n, seed):
 def test_identity_estimates_to_one():
     state = random_state(np.random.default_rng(1), 2)
     shadow = shadows.collect(state, 10, np.random.default_rng(2))
-    assert shadows.estimate_pauli(shadow, PauliString("II")) == 1.0
+    assert shadows.estimate_pauli(shadow, [PauliString("II")])[0, 0] == 1.0
 
 
 def test_single_batch_is_plain_mean():
@@ -177,20 +175,20 @@ def test_single_batch_is_plain_mean():
     state = random_state(rng, 2)
     shadow = shadows.collect(state, 200, rng)
     pstring = PauliString("ZI")
-    values = shadows.snapshot_values(shadow, pstring)
-    assert shadows.estimate_pauli(shadow, pstring, n_batches=1) == pytest.approx(values.mean())
+    values = shadows.snapshot_values(shadow, [pstring])
+    assert shadows.estimate_pauli(shadow, [pstring], n_batches=1)[0, 0] == pytest.approx(values.mean())
 
 
 def test_estimator_converges_to_exact():
     rng = np.random.default_rng(7)
     circ = circuits.hea(3, 1)
     bindings = {p: float(rng.uniform(-np.pi, np.pi)) for p in circ.variational_params}
-    state = circuits.run(circ, bindings)
+    state = circuits.run_batch(circ, bindings, 1)
     shadow = shadows.collect(state, 30000, rng)
     for letters in ("ZII", "IXI", "IIY", "ZZI", "XIY"):
         pstring = PauliString(letters)
-        est = shadows.estimate_pauli(shadow, pstring)
-        exact = expectation(state, pstring)
+        est = shadows.estimate_pauli(shadow, [pstring])[0, 0]
+        exact = expectation(state, pstring)[0]
         bound = 3.0 * np.sqrt(3.0**pstring.weight / 30000)
         assert abs(est - exact) <= bound, (letters, est, exact)
 
@@ -199,16 +197,17 @@ def test_locality_cap_enforced():
     state = random_state(np.random.default_rng(0), 3)
     shadow = shadows.collect(state, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        shadows.estimate_pauli(shadow, PauliString("XYZ"), locality_cap=2)
+        shadows.estimate_pauli(shadow, [PauliString("XYZ")], locality_cap=2)
     # raising the cap admits it
-    shadows.estimate_pauli(shadow, PauliString("XYZ"), locality_cap=3)
+    shadows.estimate_pauli(shadow, [PauliString("XYZ")], locality_cap=3)
 
 
 def per_string_values(shadow, pstring):
-    """Reference snapshot values: 3**w times the outcome signs on the support, 0 on a basis mismatch."""
+    """Reference snapshot values of a one-state shadow: 3**w times the outcome
+    signs on the support, 0 on a basis mismatch."""
     values = np.full(shadow.n_snapshots, float(3**pstring.weight))
     for q, letter in pstring.support():
-        values *= (shadow.bases[:, q] == "XYZ".index(letter)) * shadow.signs[:, q]
+        values *= (shadow.bases[0, :, q] == "XYZ".index(letter)) * shadow.signs[0, :, q]
     return values
 
 
@@ -220,12 +219,12 @@ def test_sequence_form_matches_the_per_string_loop(n_batches):
     # every string of weight <= 2, identity included, in a shuffled order
     strings = enumerate_k_local(3, 2)
     strings = [strings[i] for i in np.random.default_rng(n_batches).permutation(len(strings))]
-    together = shadows.estimate_pauli(shadow, strings, n_batches)
-    one_by_one = [shadows.estimate_pauli(shadow, p, n_batches) for p in strings]
+    together = shadows.estimate_pauli(shadow, strings, n_batches)[0]
+    one_by_one = [shadows.estimate_pauli(shadow, [p], n_batches)[0, 0] for p in strings]
     assert together.shape == (len(strings),)
     assert together.tobytes() == np.array(one_by_one).tobytes()
     # both equal the median of np.array_split batch means of the reference values
-    values = shadows.snapshot_values(shadow, strings)
+    values = shadows.snapshot_values(shadow, strings)[0]
     reference = [per_string_values(shadow, p) for p in strings]
     assert values.tobytes() == np.stack(reference, axis=1).tobytes()
     textbook = [
@@ -240,7 +239,7 @@ def test_sequence_form_checks_every_string_and_the_batch_count():
     strings = [PauliString("ZII"), PauliString("XYZ"), PauliString("IIX")]
     with pytest.raises(ValueError, match="locality cap"):
         shadows.estimate_pauli(shadow, strings, locality_cap=2)
-    assert shadows.estimate_pauli(shadow, strings, locality_cap=3).shape == (3,)
+    assert shadows.estimate_pauli(shadow, strings, locality_cap=3).shape == (1, 3)
     for bad in (0, 11):
         with pytest.raises(ValueError, match="n_batches"):
             shadows.estimate_pauli(shadow, strings[::2], n_batches=bad)
@@ -248,9 +247,9 @@ def test_sequence_form_checks_every_string_and_the_batch_count():
 
 def test_median_of_means_bounds_outliers():
     rng = np.random.default_rng(11)
-    state = zero_state(2)  # <ZZ> = 1 exactly
+    state = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.complex128)  # |00>: <ZZ> = 1 exactly
     shadow = shadows.collect(state, 2000, rng)
-    est = shadows.estimate_pauli(shadow, PauliString("ZZ"), n_batches=10)
+    est = shadows.estimate_pauli(shadow, [PauliString("ZZ")], n_batches=10)[0, 0]
     assert abs(est - 1.0) < 0.5
 
 

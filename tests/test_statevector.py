@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqsolve.circuits import CircuitSpec, run_batch
 from dqsolve.statevector import (
     ConfigurationError,
     H_MATRIX,
-    StateVector,
     apply_cnot_batch,
     apply_matrix_batch,
     apply_rotation_batch,
     expectation,
     pauli_action,
     pauli_expectation_batch,
+    pauli_tables,
     rotate_to_bases,
     sample_bitstrings,
-    zero_state,
 )
 from dqsolve.pauli import ObservableSum, PauliString, sum_of_z
 
@@ -28,22 +28,28 @@ def random_states(rng, batch, n):
     return amps
 
 
+def zero_state(n):
+    """|0...0> on ``n`` qubits, as a batch of one: the run of an empty circuit."""
+    return run_batch(CircuitSpec(n, ()), {}, 1)
+
+
 def test_zero_state():
-    state = zero_state(3)
-    assert state.amplitudes[0] == 1.0
-    assert np.all(state.amplitudes[1:] == 0.0)
-    assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(1.0)
+    amps = zero_state(3)[0]
+    assert amps[0] == 1.0
+    assert np.all(amps[1:] == 0.0)
+    assert np.vdot(amps, amps).real == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [0, -1, 13])
 def test_zero_state_rejects_bad_sizes(n):
+    # the register-size rule lives in CircuitSpec
     with pytest.raises(ConfigurationError):
-        zero_state(n)
+        CircuitSpec(n, ())
 
 
 def test_rx_pi_flips_qubit():
     # RX(pi)|0> = -i|1>
-    amps = zero_state(1).amplitudes[None, :].copy()
+    amps = zero_state(1)
     apply_rotation_batch(amps, 1, 0, "X", np.pi)
     assert np.allclose(amps[0], [0.0, -1.0j])
 
@@ -110,12 +116,11 @@ def test_pauli_action_xz():
 
 def test_pauli_expectation_known_values():
     # <0000| sum Z |0000> = 4
-    state = zero_state(4)
-    assert expectation(state, sum_of_z(4)) == pytest.approx(4.0)
+    assert expectation(zero_state(4), sum_of_z(4))[0] == pytest.approx(4.0)
     # RX(pi/2)|0> has <Y> = -1
-    amps = zero_state(1).amplitudes[None, :].copy()
+    amps = zero_state(1)
     apply_rotation_batch(amps, 1, 0, "X", np.pi / 2)
-    assert pauli_expectation_batch(amps, "Y")[0] == pytest.approx(-1.0)
+    assert pauli_expectation_batch(amps, pauli_tables(["Y"]))[0, 0] == pytest.approx(-1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,18 +129,17 @@ def test_pauli_expectation_bounded(n, seed):
     rng = np.random.default_rng(seed)
     amps = random_states(rng, 4, n)
     letters = "".join(rng.choice(list("IXYZ"), size=n))
-    vals = pauli_expectation_batch(amps, letters)
+    vals = pauli_expectation_batch(amps, pauli_tables([letters]))[:, 0]
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
 
 
 def test_expectation_linearity():
     rng = np.random.default_rng(5)
     amps = random_states(rng, 1, 3)
-    state = StateVector(3, amps[0])
     a = ObservableSum([(0.7, PauliString("XYZ"))])
     b = ObservableSum([(-1.3, PauliString("ZIX"))])
-    assert expectation(state, a + b) == pytest.approx(
-        expectation(state, a) + expectation(state, b)
+    assert expectation(amps, a + b)[0] == pytest.approx(
+        expectation(amps, a)[0] + expectation(amps, b)[0]
     )
 
 
@@ -144,8 +148,8 @@ def test_rotate_to_bases_diagonalizes_x_and_y():
     amps = random_states(rng, 1, 2)
     rotated = rotate_to_bases(amps, 2, "XY")
     # <X ⊗ Y> of the original equals <Z ⊗ Z> of the rotated state
-    assert pauli_expectation_batch(amps, "XY")[0] == pytest.approx(
-        pauli_expectation_batch(rotated, "ZZ")[0]
+    assert pauli_expectation_batch(amps, pauli_tables(["XY"]))[0, 0] == pytest.approx(
+        pauli_expectation_batch(rotated, pauli_tables(["ZZ"]))[0, 0]
     )
 
 
@@ -162,7 +166,7 @@ def test_sample_bitstrings_matches_born_rule():
 def test_measure_in_bases_deterministic_on_eigenstate():
     # |0> measured in Z always yields bit 0; |+> in X always yields bit 0
     rng = np.random.default_rng(0)
-    zero = zero_state(1).amplitudes[None, :]
+    zero = zero_state(1)
     assert sample_bitstrings(rotate_to_bases(zero, 1, "Z"), rng)[0] == 0
     plus = np.array([[1.0, 1.0]], dtype=np.complex128) / np.sqrt(2)
     for _ in range(10):
@@ -179,3 +183,18 @@ def test_apply_matrix_batch_matches_kron():
     expected = np.kron(np.eye(2), H_MATRIX) @ amps[0]  # H on qubit 0 (low bit)
     apply_matrix_batch(amps, 2, 0, H_MATRIX)
     assert np.allclose(amps[0], expected)
+
+
+def test_expectation_reads_every_row():
+    # shape (batch,), each row as a batch of one reads it; a sum with no
+    # terms reads 0, and a string on fewer qubits is padded with identities
+    amps = random_states(np.random.default_rng(8), 5, 3)
+    obs = ObservableSum([(0.7, PauliString("XYZ")), (-1.3, PauliString("ZIX"))])
+    together = expectation(amps, obs)
+    assert together.shape == (5,)
+    for row, value in zip(amps, together):
+        assert expectation(row[None], obs)[0] == value
+    assert np.array_equal(expectation(amps, ObservableSum([])), np.zeros(5))
+    assert np.array_equal(expectation(amps, PauliString("Z")), expectation(amps, PauliString("ZII")))
+    with pytest.raises(ConfigurationError):
+        expectation(amps, PauliString("ZIIZ"))
