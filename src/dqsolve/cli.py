@@ -372,6 +372,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.seed < 0:   # numpy's generators refuse it; RunConfig.validate checks run seeds alike
+        raise ConfigurationError(f"seed must be nonnegative; got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

@@ -210,35 +210,46 @@ def rotation_generators(circuit: CircuitSpec, gate_indices) -> tuple[np.ndarray,
     return pauli_tables(letters)
 
 
+def _tile_rows(value, copies: int):
+    """A per-row binding or shift (shape (rows,)) repeated for ``copies``
+    stacked copies of the rows; a scalar stays as it is."""
+    return value if np.ndim(value) == 0 else np.tile(value, copies)
+
+
 def adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts=None, generators=None):
     """One backward sweep from final states ``amps`` and co-states ``lam``.
 
     Returns G[k, r] = 2 Re(-i/2 <lam_r|P_k amps_r>) * scale_k for each listed
     rotation gate k (generator P_k) and row r, shape (len(gate_indices),
-    rows), with both stacks swept back to just after gate k.  With lam = C|a>
-    this is d<a|C|a>/d(angle_k), exactly what the parameter-shift rule gives;
-    with lam = C|b> it is the a-side of d Re<a|C|b>/d(angle_k).  Both arrays
-    are swept back in place.  ``generators`` is ``rotation_generators`` of the
-    listed gates, built here if not given.
+    rows), read with both stacks swept back to just after gate k.  With lam =
+    C|a> this is d<a|C|a>/d(angle_k), exactly what the parameter-shift rule
+    gives; with lam = C|b> it is the a-side of d Re<a|C|b>/d(angle_k).  The
+    sweep works on one (2 * rows, 2**n) stack of both, so every gate is
+    unapplied once; ``amps`` and ``lam`` are not swept in place and come back
+    unchanged.  ``generators`` is ``rotation_generators`` of the listed gates,
+    built here if not given.
     """
     n = circuit.n_qubits
     if generators is None:
         generators = rotation_generators(circuit, gate_indices)
     gen_src, gen_pc = generators
     position = {g: k for k, g in enumerate(gate_indices)}
-    shifts = shifts or {}
+    rows = amps.shape[0]
+    stack = np.concatenate([amps, lam])
+    states, costates = stack[:rows], stack[rows:]
+    bindings = {name: _tile_rows(value, 2) for name, value in bindings.items()}
+    shifts = {i: _tile_rows(shift, 2) for i, shift in (shifts or {}).items()}
     first = min(gate_indices)
-    grads = np.empty((len(gate_indices), amps.shape[0]))
+    grads = np.empty((len(gate_indices), rows))
     for i in range(len(circuit.gates) - 1, first - 1, -1):
         gate = circuit.gates[i]
         k = position.get(i)
         if k is not None:
-            inner = np.einsum("bi,bi->b", np.conj(lam), gen_pc[k][None, :] * amps[:, gen_src[k]])
+            inner = np.einsum("bi,bi->b", np.conj(costates), gen_pc[k][None, :] * states[:, gen_src[k]])
             # dU/dtheta U^dag = -i/2 * scale * P on the target qubit
             grads[k] = 2.0 * np.real(-0.5j * inner) * gate.scale
         if i > first:
-            circuits.unapply_gate_to_batch(amps, n, gate, bindings, shifts.get(i))
-            circuits.unapply_gate_to_batch(lam, n, gate, bindings, shifts.get(i))
+            circuits.unapply_gate_to_batch(stack, n, gate, bindings, shifts.get(i))
     return grads
 
 

@@ -11,9 +11,17 @@ Every state is an amplitude row: the kernels, the readout and the shadows
 take batches of shape (batch, 2**n), so that many circuit evaluations (grid
 points, shifted parameters) run in one numpy call, and one state is a batch
 of one.  Pauli strings are read through their ``pauli_tables``.
+
+Rotations and CNOTs work on whole contiguous rows through index tables
+cached per register size and qubit(s): a rotation gathers each amplitude's
+partner across qubit q (index ``i ^ (1 << q)``) once and combines in place,
+and a CNOT is one gather through a basis permutation.  Fixed 2x2 matrices
+(``apply_matrix_batch``) still act on (high, 2, low) views.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,36 +44,59 @@ def _split_axes(amps: np.ndarray, n: int, q: int) -> np.ndarray:
     return amps.reshape(amps.shape[0], high, 2, low)
 
 
+@functools.cache
+def _qubit_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, z) of qubit q on n qubits: each basis index with bit q flipped,
+    and +1 or -1 by bit q (the Z eigenvalue), both of shape (2**n,)."""
+    idx = np.arange(1 << n)
+    flip, z = idx ^ (1 << q), 1.0 - 2.0 * ((idx >> q) & 1)
+    flip.flags.writeable = z.flags.writeable = False   # shared by every later call
+    return flip, z
+
+
+@functools.cache
+def _cnot_table(n: int, control: int, target: int) -> np.ndarray:
+    """The basis permutation of CNOT(control, target) on n qubits."""
+    idx = np.arange(1 << n)
+    perm = idx ^ (((idx >> control) & 1) << target)
+    perm.flags.writeable = False
+    return perm
+
+
 def apply_rotation_batch(amps, n, q, axis, angles):
     """Apply R_axis(angle) to qubit q of every row of ``amps`` in place.
 
-    ``angles`` may be a scalar or an array of shape (batch,).
+    ``angles`` may be a scalar or an array of shape (batch,).  With c, s the
+    cosine and sine of half the angle, flip and z the cached tables of qubit
+    q, X and Y set psi[i] to c psi[i] + p[i] psi[flip[i]], p = -i s for X and
+    -s z[i] for Y, and Z multiplies psi[i] by c - i s z[i]: whole contiguous
+    rows, with at most one batch-sized temporary.
     """
     _check_qubit(n, q)
+    if axis not in ("X", "Y", "Z"):
+        raise ConfigurationError(f"unknown rotation axis {axis!r}")
+    flip, z = _qubit_tables(n, q)
     half = np.asarray(angles, dtype=np.float64) / 2.0
     c = np.cos(half)
     s = np.sin(half)
     if c.ndim == 1:
-        c = c[:, None, None]
-        s = s[:, None, None]
-    view = _split_axes(amps, n, q)
-    a0 = view[:, :, 0, :]
-    a1 = view[:, :, 1, :]
+        c = c[:, None]
+        s = s[:, None]
+    if axis == "Z":
+        phase = -1j * s * z
+        phase += c
+        amps *= phase
+        return
+    partner = amps[:, flip]
     if axis == "X":
-        new0 = c * a0 - 1j * s * a1
-        new1 = -1j * s * a0 + c * a1
-    elif axis == "Y":
-        new0 = c * a0 - s * a1
-        new1 = s * a0 + c * a1
-    elif axis == "Z":
-        phase0 = c - 1j * s
-        phase1 = c + 1j * s
-        new0 = phase0 * a0
-        new1 = phase1 * a1
+        partner *= -1j * s
+    elif c.ndim == 0:
+        partner *= -s * z
     else:
-        raise ConfigurationError(f"unknown rotation axis {axis!r}")
-    view[:, :, 0, :] = new0
-    view[:, :, 1, :] = new1
+        partner *= z   # two passes, not a (batch, 2**n) table of -s z
+        partner *= -s
+    amps *= c
+    amps += partner
 
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -93,21 +124,12 @@ BASIS_ROTATION = {
 
 
 def apply_cnot_batch(amps, n, control, target):
-    """CNOT on every row, in place."""
+    """CNOT on every row, in place: one gather through a cached permutation."""
     _check_qubit(n, control)
     _check_qubit(n, target)
     if control == target:
         raise ConfigurationError("CNOT control and target must differ")
-    view = amps.reshape((amps.shape[0],) + (2,) * n)
-    # qubit q lives on axis 1 + (n - 1 - q)
-    idx_c = 1 + (n - 1 - control)
-    idx_t = 1 + (n - 1 - target)
-    sel1 = [slice(None)] * (n + 1)
-    sel1[idx_c] = 1
-    block = view[tuple(sel1)]
-    # target axis shifts left by one if it sat after the control axis
-    t_axis = idx_t - 1 if idx_t > idx_c else idx_t
-    view[tuple(sel1)] = np.flip(block, axis=t_axis)
+    amps[:] = amps[:, _cnot_table(n, control, target)]
 
 
 def pauli_action(letters: str):

@@ -188,6 +188,7 @@ def test_invalid_config_exit_code(tmp_path):
         args = ("--problem", "damped_osc", "--variant", "to", *flag)
         assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "s")) == cli.EXIT_CONFIG
         assert run_cli("count", *args) == cli.EXIT_CONFIG
+    assert run_cli("selftest", "--seed", "-1") == cli.EXIT_CONFIG
     # a 2-local candidate set needs two qubits, and a configuration file has to
     # be readable; both were a traceback (exit 1) before
     to_loc2 = ("--problem", "damped_osc", "--variant", "to", "--obs", "loc2", "--n-qubits", "1")

@@ -134,6 +134,45 @@ def test_adjoint_gradients_match_parameter_shift():
     assert np.allclose(adj[:, 0], psr, atol=1e-10)
 
 
+def _swept_circuit_and_rows(rows):
+    """An ansatz followed by a feature map, so the sweep unapplies gates with
+    per-row angles; with per-row bindings, states and co-states."""
+    rng = np.random.default_rng(9)
+    circuit = circuits.compose(circuits.hea(3, 2), circuits.tower_feature_map(3, "x0"))
+    bindings = {"x0": rng.uniform(-1.0, 1.0, rows)}
+    bindings.update({p: float(rng.uniform(-np.pi, np.pi)) for p in circuit.variational_params})
+    shifts = {len(circuit.gates) - 1: rng.uniform(-1.0, 1.0, rows), 3: np.pi / 2}
+    gate_indices = [circuit.gate_indices_for(p)[0] for p in circuit.variational_params]
+    amps = circuits.run_batch(circuit, bindings, rows, shifts)
+    lam = models.diagonal_table(pauli.sum_of_z(3))[1] * circuits.run_batch(circuit, bindings, rows)
+    return circuit, bindings, shifts, gate_indices, amps, lam
+
+
+def test_adjoint_gradients_leave_their_inputs_unchanged():
+    circuit, bindings, shifts, gate_indices, amps, lam = _swept_circuit_and_rows(4)
+    before = amps.copy(), lam.copy()
+    models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts)
+    assert np.array_equal(amps, before[0]) and np.array_equal(lam, before[1])
+
+
+def test_adjoint_gradients_of_a_batch_equal_each_row_swept_alone():
+    circuit, bindings, shifts, gate_indices, amps, lam = _swept_circuit_and_rows(5)
+    batch = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts)
+    for r in range(5):
+        def pick(value):
+            return value if np.ndim(value) == 0 else value[r : r + 1]
+
+        alone = models.adjoint_gradients(
+            circuit,
+            {name: pick(value) for name, value in bindings.items()},
+            amps[r : r + 1],
+            lam[r : r + 1],
+            gate_indices,
+            {i: pick(shift) for i, shift in shifts.items()},
+        )
+        assert np.array_equal(alone[:, 0], batch[:, r])
+
+
 @pytest.mark.parametrize("dimension, mode", [(1, ()), (1, (0,)), (1, (0, 0)), (2, (1,))])
 def test_adjoint_sweeps_read_the_mode_expectation(dimension, mode):
     # row 0 combines the shift configurations' runs; mode_expectations reads

@@ -1,5 +1,7 @@
 """Simulator kernels: gate application, expectations, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,80 @@ def test_cnot_rejects_equal_wires():
     amps = np.zeros((1, 4), dtype=np.complex128)
     with pytest.raises(ConfigurationError):
         apply_cnot_batch(amps, 2, 1, 1)
+
+
+PAULI_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def dense_rotation(n, q, axis, angle):
+    """R_axis(angle) on qubit q as a 2**n matrix; qubit 0 is the low bit."""
+    r = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * PAULI_MATRICES[axis]
+    return np.kron(np.kron(np.eye(2 ** (n - 1 - q)), r), np.eye(2**q))
+
+
+def dense_cnot(n, control, target):
+    """CNOT as a 2**n permutation matrix, column by column over basis states."""
+    matrix = np.zeros((2**n, 2**n))
+    for j in range(2**n):
+        matrix[j ^ (((j >> control) & 1) << target), j] = 1.0
+    return matrix
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rotation_matches_dense_matrix(n):
+    rng = np.random.default_rng(n)
+    amps = random_states(rng, 4, n)
+    per_row = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
+    for q in range(n):
+        for axis in "XYZ":
+            out = amps.copy()
+            apply_rotation_batch(out, n, q, axis, 0.7)
+            np.testing.assert_allclose(out, amps @ dense_rotation(n, q, axis, 0.7).T, rtol=0, atol=1e-14)
+            out = amps.copy()
+            apply_rotation_batch(out, n, q, axis, per_row)
+            expected = [dense_rotation(n, q, axis, a) @ row for a, row in zip(per_row, amps)]
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_cnot_matches_permutation_matrix(n):
+    amps = random_states(np.random.default_rng(n), 3, n)
+    for control in range(n):
+        for target in range(n):
+            if control != target:
+                out = amps.copy()
+                apply_cnot_batch(out, n, control, target)
+                assert np.array_equal(out, amps @ dense_cnot(n, control, target).T)
+
+
+def test_kernels_reject_bad_axes_and_qubits():
+    amps = zero_state(2)
+    for bad in [lambda: apply_rotation_batch(amps, 2, 0, "W", 0.1),
+                lambda: apply_rotation_batch(amps, 2, 2, "X", 0.1),
+                lambda: apply_rotation_batch(amps, 2, -1, "Z", 0.1),
+                lambda: apply_cnot_batch(amps, 2, 0, 2),
+                lambda: apply_cnot_batch(amps, 2, 3, 0)]:
+        with pytest.raises(ConfigurationError):
+            bad()
+
+
+@pytest.mark.parametrize("axis", "XYZ")
+def test_rotation_makes_at_most_one_batch_temporary(axis):
+    rng = np.random.default_rng(4)
+    amps = random_states(rng, 729, 6)
+    for angles in (0.4, rng.uniform(0.0, 1.0, 729)):
+        apply_rotation_batch(amps, 6, 2, axis, angles)   # builds the cached tables
+        tracemalloc.start()
+        try:
+            apply_rotation_batch(amps, 6, 2, axis, angles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * amps.nbytes
 
 
 @settings(max_examples=40, deadline=None)
