@@ -123,8 +123,6 @@ def execute(config: RunConfig):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -157,12 +155,9 @@ def solution_csv(problem, trial_models, trace: training.TrainTrace) -> str:
     data = [points[:, d] for d in range(problem.dimension)]
     for fn, (model, params) in enumerate(zip(trial_models, trace.final_params)):
         values = model.values_at(params, points, (), phase=models.PHASE_INFERENCE)
-        columns.append(f"f{fn}_model")
-        data.append(values)
-        if problem.analytic is not None:
-            exact = problem.analytic[fn](points)
-            columns.extend([f"f{fn}_exact", f"f{fn}_sq_err"])
-            data.extend([exact, (values - exact) ** 2])
+        exact = problem.analytic[fn](points)
+        columns.extend([f"f{fn}_model", f"f{fn}_exact", f"f{fn}_sq_err"])
+        data.extend([values, exact, (values - exact) ** 2])
     lines = [",".join(columns)]
     for row in range(points.shape[0]):
         lines.append(",".join(_fmt(col[row]) for col in data))
@@ -215,22 +210,12 @@ def loss_chart_svg(trace: training.TrainTrace) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
         f'points="{path_for([r.loss for r in records])}"/>',
+        f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" '
+        f'stroke-dasharray="4 3" points="{path_for([r.mos for r in records])}"/>',
+        f'<text x="{pad}" y="20" font-family="sans-serif" font-size="13">'
+        "loss (solid), measure of success (dashed), log scale</text>",
+        "</svg>",
     ]
-    if records[0].mos is not None:
-        parts.append(
-            f'<polyline fill="none" stroke="#d62728" stroke-width="1.5" '
-            f'stroke-dasharray="4 3" points="{path_for([r.mos for r in records])}"/>'
-        )
-        parts.append(
-            f'<text x="{pad}" y="20" font-family="sans-serif" font-size="13">'
-            "loss (solid), measure of success (dashed), log scale</text>"
-        )
-    else:
-        parts.append(
-            f'<text x="{pad}" y="20" font-family="sans-serif" font-size="13">'
-            "loss, log scale</text>"
-        )
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
@@ -277,40 +262,34 @@ def cmd_run(args) -> int:
     problem, trial_models, trace, counter = execute(config)
     out = write_run_artifacts(config, problem, trial_models, trace, counter)
     final = trace.records[-1]
-    mos_text = f" mos={final.mos:.3e}" if final.mos is not None else ""
     print(
         f"{config.problem}/{config.variant}: epochs={len(trace.records)} "
-        f"loss={final.loss:.3e}{mos_text} evals={counter.total} -> {out}"
+        f"loss={final.loss:.3e} mos={final.mos:.3e} evals={counter.total} -> {out}"
     )
     return EXIT_OK
 
 
 def parse_model_spec(spec: str) -> tuple[str, dict]:
     """Parse a compare entry like 'original', 'to-loc2', 'fs-exact'."""
-    parts = spec.split("-")
-    variant = parts[0]
-    overrides: dict = {}
-    if variant == "to" and len(parts) > 1:
-        overrides["observables"] = parts[1]
-    elif variant == "fs" and len(parts) > 1:
-        overrides["fs_mode"] = parts[1]
-    elif len(parts) > 1:
+    variant, *suffix = spec.split("-")
+    keys = {"to": "observables", "fs": "fs_mode"}
+    if len(suffix) > 1 or (suffix and variant not in keys):
         raise ConfigurationError(f"unknown model spec {spec!r}")
-    return variant, overrides
+    return variant, {keys[variant]: suffix[0]} if suffix else {}
 
 
 def cmd_compare(args) -> int:
     specs = args.models
     if len(specs) < 2:
         raise ConfigurationError("compare needs at least two model specs")
+    parsed = {spec: parse_model_spec(spec) for spec in specs}  # refuse a bad spec before training
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     merged = ["model,epoch,loss,mos,cum_evals"]
     totals = {}
     d_max = 0
     finals = {}
-    for spec in specs:
-        variant, overrides = parse_model_spec(spec)
+    for spec, (variant, overrides) in parsed.items():
         config = default_config(args.problem, variant)
         overrides["seed"] = args.seed
         overrides["out_dir"] = str(out / spec)
@@ -325,9 +304,8 @@ def cmd_compare(args) -> int:
         finals[spec] = trace.records[-1]
         if variant == "to":
             d_max = max(d_max, trial_models[0].table.n_observables)
-        mos_text = f" mos={finals[spec].mos:.3e}" if finals[spec].mos is not None else ""
-        print(f"{spec}: epochs={len(trace.records)} loss={finals[spec].loss:.3e}{mos_text} "
-              f"evals={counter.total}")
+        print(f"{spec}: epochs={len(trace.records)} loss={finals[spec].loss:.3e} "
+              f"mos={finals[spec].mos:.3e} evals={counter.total}")
     (out / "merged.csv").write_text("\n".join(merged) + "\n")
     report = [f"problem: {args.problem}", f"seed: {args.seed}"]
     if d_max:
@@ -394,8 +372,8 @@ def cmd_selftest(args) -> int:
     failures += not ok
     print(f"[{'ok' if ok else 'FAIL'}] Pauli set sizes (13, 67, 256): {counts}")
 
-    for name in ("damped_osc", "coupled", "twod_linear"):
-        problem = problems.PROBLEMS[name]()
+    for name, build in problems.PROBLEMS.items():
+        problem = build()
         F = {}
         for fn in range(problem.n_functions):
             for mode in problem.all_modes:

@@ -817,7 +817,10 @@ class TOModel:
         alpha, a_s = params[:-1], params[-1]
         rows = self._entries(idx, mode)
         jac = np.empty((rows.shape[0], self.n_params))
-        jac[:, :-1] = a_s * rows
+        # no (points, d) temporary; all of jac is scaled, as a ufunc into jac[:, :-1] buffers 64 kB
+        np.copyto(jac[:, :-1], rows)
+        jac[:, -1] = 0.0
+        jac *= a_s
         jac[:, -1] = rows @ alpha
         return jac
 

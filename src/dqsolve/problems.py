@@ -6,11 +6,16 @@ dict keyed by (function index, mode) holding one array over the collocation
 grid; modes are input-derivative tuples as in :mod:`dqsolve.models`.
 Boundary conditions are separate loss terms at their own coordinates, so
 collocation grids stay strictly interior to the stated open domain.
+
+Every problem carries its reference solution and that solution's derivatives
+in closed form: the measure of success is the squared error against it, and
+residual checks evaluate the equation on it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -60,8 +65,8 @@ class DEProblem:
     residual_partials: callable                 # (points, F) -> {(eq, fn, mode): (m,)}
     boundary: tuple[BoundaryTerm, ...]
     grid: Grid
-    analytic: tuple | None = None               # one callable per function, or None
-    analytic_modes: dict | None = None          # (fn, mode) -> callable, closed-form derivatives
+    analytic: tuple                             # one callable per function
+    analytic_modes: dict                        # (fn, mode) -> callable, closed-form derivatives
     notes: dict = field(default_factory=dict)
 
     @functools.cached_property
@@ -79,8 +84,6 @@ class DEProblem:
     @functools.cached_property
     def reference_values(self) -> tuple[np.ndarray, ...]:
         """Each function's reference solution on the grid, evaluated once."""
-        if self.analytic is None:
-            raise ValueError(f"problem {self.name} has no reference solution")
         return tuple(f(self.grid.points) for f in self.analytic)
 
     @property
@@ -162,39 +165,49 @@ def burgers_poles(lo: float = 0.0, hi: float = 1.0) -> list[float]:
     return poles
 
 
-def _burgers_reference():
-    """High-accuracy two-point boundary-value oracle for the Burgers benchmark.
+def _burgers_smooth_branch(f0: float, f1: float, nu: float) -> tuple[float, float]:
+    """(k, x0) of the smooth solution -k tanh(k (x - x0) / (2 nu)) through
+    f(0) = f0 and f(1) = f1, both below k.
 
-    The printed closed form solves the equation but diverges at
-    x ~ 0.2025 inside the domain, so the reference solution used for the
-    measure of success is the smooth BVP solution with the same boundary
-    values, obtained by collocation.  scipy is imported here, not at module
-    scope: it is most of the package's import time, and only this oracle uses it.
+    f f' = nu f'' integrates once to the Riccati equation nu f' = f^2/2 - C;
+    with C = k^2/2 its bounded branch is the tanh above.  f(1) fixes
+    x0 = 1 + (2 nu / k) atanh(f1 / k), and f(0) = k tanh(k x0 / (2 nu)) then
+    rises with slope about 1 in k, so k is bisected on that one scalar
+    equation until the midpoint meets an end of the bracket.  (Fixing x0 by
+    f(0) instead puts atanh's argument at f0 / k ~ 0.9998, where one ulp of k
+    moves f(1) by 3e-13.)
     """
-    from scipy.integrate import solve_bvp
 
-    f_minus = float(burgers_closed_form(0.0))
-    f_plus = float(burgers_closed_form(1.0))
+    def x0_of(k):
+        return 1.0 + 2.0 * nu / k * math.atanh(f1 / k)
 
-    def rhs(x, y):
-        return np.vstack([y[1], y[0] * y[1] / BURGERS_NU])
-
-    def bc(ya, yb):
-        return np.array([ya[0] - f_minus, yb[0] - f_plus])
-
-    x0 = np.linspace(0.0, 1.0, 101)
-    y0 = np.vstack([np.linspace(f_minus, f_plus, 101), np.full(101, f_plus - f_minus)])
-    sol = solve_bvp(rhs, bc, x0, y0, tol=1e-10, max_nodes=20000)
-    if not sol.success:
-        raise RuntimeError(f"Burgers reference BVP failed: {sol.message}")
-    return sol
+    lo, hi = f0, 2.0 * f0 + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid, x0_of(mid)
+        if mid * math.tanh(mid * x0_of(mid) / (2.0 * nu)) < f0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def stationary_burgers(m: int = 20) -> DEProblem:
     """f f' - nu f'' = 0 with nu=0.1 and boundary values from the closed form
-    at x=0 and x=1."""
+    at x=0 and x=1.
+
+    The printed tangent closed form meets those boundary values but diverges
+    at x ~ 0.2025 inside the domain, so the reference for the measure of
+    success is the smooth solution through the same boundary values,
+    f = -k tanh(k (x - x0) / (2 nu)), with its derivatives in closed form.
+    """
     nu = BURGERS_NU
-    reference = _burgers_reference()
+    f_minus = float(burgers_closed_form(0.0))
+    f_plus = float(burgers_closed_form(1.0))
+    k, x0 = _burgers_smooth_branch(f_minus, f_plus, nu)
+
+    def t_of(pts):
+        return np.tanh(k * (pts[:, 0] - x0) / (2.0 * nu))
 
     def residual(points, F):
         return (F[(0, ())] * F[(0, (0,))] - nu * F[(0, (0, 0))])[None, :]
@@ -215,12 +228,16 @@ def stationary_burgers(m: int = 20) -> DEProblem:
         residual=residual,
         residual_partials=partials,
         boundary=(
-            BoundaryTerm((0.0,), 0, float(burgers_closed_form(0.0))),
-            BoundaryTerm((1.0,), 0, float(burgers_closed_form(1.0))),
+            BoundaryTerm((0.0,), 0, f_minus),
+            BoundaryTerm((1.0,), 0, f_plus),
         ),
         grid=make_grid((m,), ((0.0, 1.0),)),
-        analytic=(lambda pts: reference.sol(pts[:, 0])[0],),
-        notes={"poles": burgers_poles(), "reference": "numerical BVP (collocation)"},
+        analytic=(lambda pts: -k * t_of(pts),),
+        analytic_modes={
+            (0, (0,)): lambda pts: -(k**2) * (1.0 - t_of(pts) ** 2) / (2.0 * nu),
+            (0, (0, 0)): lambda pts: k**3 * t_of(pts) * (1.0 - t_of(pts) ** 2) / (2.0 * nu**2),
+        },
+        notes={"poles": burgers_poles(), "reference": "closed form (smooth tanh branch)"},
     )
 
 
@@ -312,7 +329,7 @@ def analytic_mode_values(problem: DEProblem, fn: int, mode) -> np.ndarray:
     mode = tuple(mode)
     if len(mode) == 0:
         return problem.reference_values[fn]
-    if problem.analytic_modes is None or (fn, mode) not in problem.analytic_modes:
+    if (fn, mode) not in problem.analytic_modes:
         raise ValueError(f"{problem.name} has no closed-form derivative for {(fn, mode)}")
     return problem.analytic_modes[(fn, mode)](problem.grid.points)
 

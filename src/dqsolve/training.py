@@ -108,7 +108,7 @@ class EpochRecord:
     loss: float
     loss_de: float
     loss_bc: float
-    mos: float | None
+    mos: float
     cum_evals: int
 
 
@@ -170,7 +170,6 @@ def train(
     lr = float(config.get("lr", 0.05))
     stop_loss = config.get("stop_loss", 1e-6)
     patience = int(config.get("patience", 200))
-    track_mos = problem.analytic is not None
 
     params_list = [m.init_params(rng) for m in trial_models]
     adam_states = [AdamState(lr=lr) for _ in trial_models]
@@ -193,14 +192,13 @@ def train(
                 f"loss became non-finite at epoch {epoch}",
                 TrainTrace(records, params_list, dict(config), int(config.get("seed", 0))),
             )
-        mos_value = problems_mod.mos_from_values(problem, F) if track_mos else None
         records.append(
             EpochRecord(
                 epoch=epoch,
                 loss=total,
                 loss_de=l_de,
                 loss_bc=l_bc,
-                mos=mos_value,
+                mos=problems_mod.mos_from_values(problem, F),
                 cum_evals=counter.total if counter else 0,
             )
         )

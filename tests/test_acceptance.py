@@ -301,8 +301,8 @@ def test_criterion_7_shadow_statistics():
 
 def test_criterion_8_analytic_oracles():
     worst = 0.0
-    for name in ("damped_osc", "coupled", "twod_linear"):
-        problem = problems.PROBLEMS[name]()
+    for build in problems.PROBLEMS.values():
+        problem = build()
         F = {
             (fn, mode): problems.analytic_mode_values(problem, fn, mode)
             for fn in range(problem.n_functions)

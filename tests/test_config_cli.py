@@ -269,3 +269,22 @@ def test_selftest_passes(capsys):
 def test_compare_requires_two_models(tmp_path):
     assert run_cli("compare", "--problem", "damped_osc", "--models", "original",
                    "--out", str(tmp_path / "c")) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("original", ("original", {})),
+    ("to-loc2", ("to", {"observables": "loc2"})),
+    ("fs-shadow", ("fs", {"fs_mode": "shadow"})),
+])
+def test_parse_model_spec(spec, expected):
+    assert cli.parse_model_spec(spec) == expected
+
+
+@pytest.mark.parametrize("spec", ["fs-exact-shadow", "to-loc2-x"])
+def test_compare_rejects_a_spec_with_extra_suffixes(tmp_path, spec):
+    with pytest.raises(ConfigurationError):
+        cli.parse_model_spec(spec)
+    out = tmp_path / "c"
+    assert run_cli("compare", "--problem", "damped_osc", "--models", "to-loc1", spec,
+                   "--epochs", "2", "--out", str(out)) == cli.EXIT_CONFIG
+    assert not out.exists()  # refused before the first member trains

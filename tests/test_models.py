@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -559,6 +560,30 @@ def test_to_model_is_linear_and_free():
     )
     model.jacobian(p1, idx, (0,))
     assert counter.total == before  # training-time evaluations are free
+
+
+def test_to_model_jacobian_allocates_only_its_result():
+    """At the all-strings n = 5 Burgers shape (20 grid rows, d = 1024) the
+    Jacobian is filled in place: a (points, d) temporary would double the
+    peak, and each call's fresh mmap of it costs page faults every epoch."""
+    rng = np.random.default_rng(0)
+    d, n_pts, m = 1024, 22, 20
+    table = models.TOTable(
+        points=np.linspace(0.0, 1.0, n_pts)[:, None], modes=((),),
+        labels=tuple(f"s{j}" for j in range(d)), entries={(): rng.normal(size=(n_pts, d))},
+    )
+    model = models.TOModel(table)
+    params = model.init_params(rng)
+    tracemalloc.start()
+    try:
+        jac = model.jacobian(params, slice(0, m), ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * jac.nbytes
+    rows = table.entries[()][:m]
+    assert np.array_equal(jac[:, :-1], params[-1] * rows)
+    assert np.array_equal(jac[:, -1], rows @ params[:-1])
 
 
 def test_to_model_off_table_inference_charges():

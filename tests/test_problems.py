@@ -43,7 +43,7 @@ def test_grid_symmetry():
     assert np.allclose(grid.points[:, 0] + grid.points[::-1, 0], 1.0)
 
 
-@pytest.mark.parametrize("name", ["damped_osc", "coupled", "twod_linear"])
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
 def test_analytic_solutions_satisfy_residual(name):
     problem = problems.PROBLEMS[name]()
     F = {
@@ -55,13 +55,13 @@ def test_analytic_solutions_satisfy_residual(name):
     assert np.abs(residual).max() < 1e-9
 
 
-@pytest.mark.parametrize("name", ["damped_osc", "coupled", "twod_linear"])
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
 def test_analytic_solutions_satisfy_boundary(name):
     problem = problems.PROBLEMS[name]()
     for term in problem.boundary:
         point = np.array([term.point])
         value = problem.analytic[term.function](point)[0]
-        assert value == pytest.approx(term.target, abs=1e-12)
+        assert value == pytest.approx(term.target, abs=1e-14)
 
 
 def test_burgers_closed_form_satisfies_equation():
@@ -91,13 +91,42 @@ def test_burgers_pole_detected():
 
 def test_burgers_reference_is_smooth_bvp_solution():
     problem = problems.stationary_burgers()
+    assert problem.notes["reference"] == "closed form (smooth tanh branch)"
     xs = problem.grid.points
     f = problem.analytic[0](xs)
     assert np.all(np.isfinite(f))
     # matches the closed form at the boundary, diverges from it near the pole
     assert problem.analytic[0](np.array([[0.0]]))[0] == pytest.approx(
-        float(burgers_closed_form(0.0)), abs=1e-6
+        float(burgers_closed_form(0.0)), abs=1e-14
     )
+
+
+def test_burgers_reference_solves_the_equation_in_closed_form():
+    problem = problems.stationary_burgers()
+    pts = np.linspace(0.0, 1.0, 2001)[:, None]
+    f = problem.analytic[0](pts)
+    d1 = problem.analytic_modes[(0, (0,))](pts)
+    d2 = problem.analytic_modes[(0, (0, 0))](pts)
+    assert np.abs(f * d1 - BURGERS_NU * d2).max() < 1e-12
+
+
+def test_burgers_reference_agrees_with_a_bvp_solver():
+    integrate = pytest.importorskip("scipy.integrate")
+    problem = problems.stationary_burgers()
+    f_minus, f_plus = (term.target for term in problem.boundary)
+
+    def rhs(x, y):
+        return np.vstack([y[1], y[0] * y[1] / BURGERS_NU])
+
+    def bc(ya, yb):
+        return np.array([ya[0] - f_minus, yb[0] - f_plus])
+
+    x0 = np.linspace(0.0, 1.0, 101)
+    y0 = np.vstack([np.linspace(f_minus, f_plus, 101), np.full(101, f_plus - f_minus)])
+    sol = integrate.solve_bvp(rhs, bc, x0, y0, tol=1e-10, max_nodes=20000)
+    assert sol.success
+    xs = np.linspace(0.0, 1.0, 2001)
+    assert np.abs(sol.sol(xs)[0] - problem.analytic[0](xs[:, None])).max() < 1e-10
 
 
 def test_coupled_circle_invariant():
@@ -224,8 +253,20 @@ def test_mos_counts_squared_deviation():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    """scipy serves only the Burgers reference oracle, so it loads with that problem."""
+    """No module of the package imports scipy."""
     code = "import sys, dqsolve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(dqsolve.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_building_burgers_loads_no_scipy():
+    """The Burgers reference is closed form: building the problem needs no solver."""
+    code = ("import sys; from dqsolve import problems; problems.stationary_burgers(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(dqsolve.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
