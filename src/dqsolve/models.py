@@ -56,53 +56,48 @@ def _charge(counter, n, phase):
 # basis functions for the flipped model's input-dependent observable
 
 
-def chebyshev_basis(u, l_max: int, order: int = 0) -> np.ndarray:
-    """T_l^(order)(u) for l = 0..l_max via the differentiated recurrence.
+def _chebyshev_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
+    """T_l^(r)(u) for l = 0..l_max and r = 0..max_order, shape (max_order + 1,
+    len(u), l_max + 1).
 
-    ``u`` may be a scalar or an array; the result has one trailing axis of
-    length l_max + 1.  Derivative orders up to 3 are supported (order 3 is
-    needed only for chain-rule gradients of second-derivative evaluations).
+    One recurrence carries every order at once:
+    T_l^(r) = 2u T_{l-1}^(r) + 2r T_{l-1}^(r-1) - T_{l-2}^(r), from T_0 = 1 and
+    T_1 = u.  Row r depends only on rows r and below, so its values do not
+    depend on how many orders are carried.
     """
-    if not 0 <= order <= 3:
-        raise ValueError(f"unsupported basis derivative order {order}")
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros(u.shape + (l_max + 1,))
-    # rows r = 0..order of [T_l, T_l', ...] for the two previous l
-    prev2 = np.zeros((order + 1,) + u.shape)
-    prev1 = np.zeros((order + 1,) + u.shape)
+    out = np.zeros((max_order + 1,) + u.shape + (l_max + 1,))
+    # [T_l, T_l', ...] for the two previous l
+    prev2 = np.zeros((max_order + 1,) + u.shape)
+    prev1 = np.zeros_like(prev2)
     prev2[0] = 1.0
-    out[..., 0] = 1.0 if order == 0 else 0.0
+    out[0, :, 0] = 1.0
     if l_max >= 1:
         prev1[0] = u
-        if order >= 1:
+        if max_order >= 1:
             prev1[1] = 1.0
-        out[..., 1] = prev1[order]
+        out[..., 1] = prev1
+    two_u = 2.0 * u
+    two_r = 2.0 * np.arange(1, max_order + 1)[:, None]
     for l in range(2, l_max + 1):
-        cur = np.zeros_like(prev1)
-        for r in range(order + 1):
-            cur[r] = 2.0 * u * prev1[r] - prev2[r]
-            if r >= 1:
-                cur[r] += 2.0 * r * prev1[r - 1]
-        out[..., l] = cur[order]
+        cur = two_u * prev1 - prev2
+        cur[1:] += two_r * prev1[:-1]
+        out[..., l] = cur
         prev2, prev1 = prev1, cur
     return out
 
 
-def monomial_basis(u, l_max: int, order: int = 0) -> np.ndarray:
-    """u**l differentiated ``order`` times, for l = 0..l_max."""
-    if order < 0:
-        raise ValueError("negative derivative order")
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros(u.shape + (l_max + 1,))
-    for l in range(l_max + 1):
-        if l < order:
-            continue
-        coef = math.perm(l, order)
-        out[..., l] = coef * u ** (l - order)
+def _monomial_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
+    """d^r/du^r u**l = perm(l, r) * u**(l - r) for l = 0..l_max and r =
+    0..max_order, shape (max_order + 1, len(u), l_max + 1)."""
+    powers = [u**e for e in range(l_max + 1)]
+    out = np.zeros((max_order + 1,) + u.shape + (l_max + 1,))
+    for r in range(max_order + 1):
+        for l in range(r, l_max + 1):
+            out[r, :, l] = math.perm(l, r) * powers[l - r]
     return out
 
 
-_BASIS_1D = {"chebyshev": chebyshev_basis, "monomial": monomial_basis}
+_BASIS_1D = {"chebyshev": _chebyshev_jet, "monomial": _monomial_jet}
 
 
 def graded_multi_indices(dimension: int, count: int) -> list[tuple[int, ...]]:
@@ -121,22 +116,32 @@ def graded_multi_indices(dimension: int, count: int) -> list[tuple[int, ...]]:
     return found
 
 
-def basis_matrix(u: np.ndarray, count: int, kind: str, dorders: tuple[int, ...]) -> np.ndarray:
-    """Evaluate the product basis at points ``u`` (shape (m, D)).
+def basis_matrix(u: np.ndarray, count: int, kind: str, max_order: int) -> dict:
+    """The basis jet: the product basis and its derivatives at points ``u``
+    (shape (m, D)).
 
-    ``dorders`` holds one derivative order per input dimension.  Returns a
-    matrix of shape (m, count): one column per basis function, in graded order.
+    Returns one (m, count) matrix, one column per basis function in graded
+    order, for every tuple of per-dimension derivative orders whose total is
+    at most ``max_order``, keyed by that tuple.  Each dimension's orders come
+    from one all-orders pass (``_chebyshev_jet``, ``_monomial_jet``); a
+    tuple's matrix is the product of its dimensions' columns.
     """
     if kind not in _BASIS_1D:
         raise ValueError(f"unknown basis kind {kind!r}")
-    fn = _BASIS_1D[kind]
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     dim = u.shape[1]
-    indices = graded_multi_indices(dim, count)
-    max_deg = max(max(ix) for ix in indices)
-    per_dim = [fn(u[:, d], max_deg, dorders[d]) for d in range(dim)]
-    cols = [np.prod([per_dim[d][:, ix[d]] for d in range(dim)], axis=0) for ix in indices]
-    return np.stack(cols, axis=1)
+    indices = np.array(graded_multi_indices(dim, count))
+    per_dim = [_BASIS_1D[kind](u[:, d], int(indices.max()), max_order) for d in range(dim)]
+    jet = {}
+    for orders in itertools.product(range(max_order + 1), repeat=dim):
+        if sum(orders) <= max_order:
+            # take keeps the columns C-contiguous: a matmul over them then
+            # sums each row in the same order as over a stacked matrix
+            cols = per_dim[0][orders[0]].take(indices[:, 0], axis=1)
+            for d in range(1, dim):
+                cols = cols * per_dim[d][orders[d]].take(indices[:, d], axis=1)
+            jet[orders] = cols
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +861,14 @@ class FlippedModel:
     The gathered expectations are one (1 + 2p, n_basis) array, one row when no
     gradient is needed: row 0 is the ansatz state, rows 1 + 2k and 2 + 2k its
     +pi/2 and -pi/2 shifts in rotation k.
+
+    The basis at u = in * x + shift is one jet per parameter vector: a single
+    ``basis_matrix`` call at every evaluation point gives every derivative
+    order up to max_order + 1, the deepest a Jacobian of a max_order mode
+    reads.  It is kept under the bytes of (in, shift), the only parameters u
+    depends on, over the model's private read-only copy of its points;
+    ``values`` and ``jacobian`` read row slices of it.  ``values_at`` takes
+    other points and builds a jet of its own, up to its mode's order.
     """
 
     AFFINE = ("alpha_out", "alpha_in", "alpha_shift", "alpha_offset")
@@ -876,7 +889,9 @@ class FlippedModel:
         if basis not in _BASIS_1D:
             raise ValueError(f"unknown basis {basis!r}")
         self.n_qubits = n_qubits
-        self.eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
+        # a private read-only copy: the cached basis jet below depends on it
+        self.eval_points = np.atleast_2d(np.array(eval_points, dtype=np.float64))
+        self.eval_points.flags.writeable = False
         self.dimension = self.eval_points.shape[1]
         self.basis = basis
         self.mode = mode
@@ -906,6 +921,12 @@ class FlippedModel:
             shift[1 + 2 * k], shift[2 + 2 * k] = SHIFT, -SHIFT
             self._shifts[self.circuit.gate_indices_for(pid)[0]] = shift
         self._exps: np.ndarray | None = None
+        # the basis jet at every evaluation point, the (a_in, a_shift) bytes it
+        # was built at, and its top derivative order: the deepest a Jacobian of
+        # a max_order mode reads, raised if a deeper mode is asked for
+        self._jet: dict = {}
+        self._jet_key = None
+        self._jet_order = max_order + 1
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         angles = rng.uniform(-np.pi, np.pi, size=len(self.rotation_params))
@@ -951,22 +972,30 @@ class FlippedModel:
             d[t] += 1
         return tuple(d)
 
-    def _basis(self, u, mode):
-        return basis_matrix(u, self.n_basis, self.basis, self._dorders(mode))
+    def _basis(self, params, idx, mode):
+        """The basis matrix of ``mode`` at the evaluation points ``idx``: rows
+        of the jet built once per (a_in, a_shift)."""
+        key = np.asarray(params[-3:-1], dtype=np.float64).tobytes()
+        if key != self._jet_key or len(mode) > self._jet_order:
+            self._jet_order = max(self._jet_order, len(mode))
+            u = self._mapped(params, self.eval_points)
+            self._jet = basis_matrix(u, self.n_basis, self.basis, self._jet_order)
+            self._jet_key = key
+        return self._jet[self._dorders(mode)][idx]
 
-    def _combine(self, params, points, mode, exps):
+    def _combine(self, params, basis, mode, exps):
         a_out, a_in = params[-4], params[-3]
-        u = self._mapped(params, points)
         j = len(mode)
-        series = self._basis(u, mode) @ exps
+        series = basis @ exps
         out = a_out * a_in**j * series
         if j == 0:
             out = out + params[-1]
         return out
 
     def values(self, params, idx, mode=(), rng=None):
-        points = self.eval_points[idx]
-        return self._combine(params, points, tuple(mode), self._gathered(params, False, rng)[0])
+        mode = tuple(mode)
+        exps = self._gathered(params, False, rng)[0]
+        return self._combine(params, self._basis(params, idx, mode), mode, exps)
 
     def jacobian(self, params, idx, mode=(), rng=None):
         mode = tuple(mode)
@@ -974,9 +1003,8 @@ class FlippedModel:
         a_out, a_in = params[-4], params[-3]
         gathered = self._gathered(params, True, rng)
         exps = gathered[0]
-        u = self._mapped(params, points)
         j = len(mode)
-        basis = self._basis(u, mode)
+        basis = self._basis(params, idx, mode)
         series = basis @ exps
         jac = np.zeros((points.shape[0], self.n_params))
         n_rot = len(self.rotation_params)
@@ -986,7 +1014,7 @@ class FlippedModel:
         extra = np.zeros(points.shape[0])  # sum_d x_d * d/du_d of the series
         shift_extra = np.zeros(points.shape[0])
         for d in range(self.dimension):
-            deeper = self._basis(u, mode + (d,)) @ exps
+            deeper = self._basis(params, idx, mode + (d,)) @ exps
             extra += points[:, d] * deeper
             shift_extra += deeper
         if j == 0:
@@ -1000,5 +1028,9 @@ class FlippedModel:
 
     def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE, rng=None):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        mode = tuple(mode)
         exps = self._gathered(params, False, rng, phase)[0]
-        return self._combine(params, points, tuple(mode), exps)
+        # off the evaluation points: a jet of its own, up to the mode's order
+        u = self._mapped(params, points)
+        basis = basis_matrix(u, self.n_basis, self.basis, len(mode))[self._dorders(mode)]
+        return self._combine(params, basis, mode, exps)

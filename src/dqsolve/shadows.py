@@ -17,7 +17,10 @@ outcome is then an n-step bisection over its row's cumulative Born sums.
 It draws the randomness state after state in a fixed order, so each state's
 shadow is bitwise the one a collect of that state alone would give, and
 shadows are reproducible per seed.  ``estimate_pauli`` reads a whole list
-of strings off every state of a shadow at once.
+of strings off every state of a shadow at once, in integers: per snapshot
+the int8 product of the string's outcome signs (0 on a basis mismatch), per
+batch an exact int64 sum scaled by 3**w, over groups of states small enough
+that the int64 sums stay within ``_GROUP_ELEMENTS`` words.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ BASIS_CODES = "XYZ"
 DEFAULT_LOCALITY_CAP = 2
 
 # Eight-byte words one group of states holds at once: prefix-tree rows, their
-# Born sums and per-snapshot indices in ``collect`` (``_collect_words``),
-# snapshot values (snapshots * strings) in ``estimate_pauli``.  Bounds their
-# temporaries, and so the peak memory, to about half a megabyte per group:
-# seven states of 551 snapshots at n = 4.  A group holds at least one state.
+# Born sums and per-snapshot indices in ``collect`` (``_collect_words``), and
+# in ``estimate_pauli`` the int64 cast its batch sums make of the sign
+# products (snapshots * strings).  Bounds their temporaries, and so the peak
+# memory, to about half a megabyte per group: seven states of 551 snapshots
+# at n = 4.  A group holds at least one state.
 _GROUP_ELEMENTS = 1 << 16
 
 # The largest snapshot budget M per state.  ``collect`` draws all of a batch's
@@ -149,24 +153,26 @@ def _rotate_drawn_prefixes(amps: np.ndarray, n: int, keys: np.ndarray):
     return rows, parent[keys]
 
 
-def _values(bases: np.ndarray, signs: np.ndarray, strings) -> np.ndarray:
-    """String-major values of K snapshots' (..., n) outcomes, shape (d, K).
+def _values(bases: np.ndarray, signs: np.ndarray, strings, unit=3, dtype=np.float64) -> np.ndarray:
+    """String-major products over K snapshots' (..., n) outcomes, shape (d, K).
 
-    A string's value is the product of its support factors in qubit order:
-    3 * sign where the letter is the measured basis, else 0.  The factors are
-    integers, so a mismatch is +0.0 and the float products carry the same
-    zero signs as a product over all n qubits with a factor 1 for I.
+    A string's product runs over its support's factors in qubit order:
+    ``unit * sign`` where the letter is the measured basis, else 0.  With
+    unit 3 in float64 it is each snapshot's value; the factors are integers,
+    so a mismatch is +0.0 and the float products carry the same zero signs as
+    a product over all n qubits with a factor 1 for I.  With unit 1 in int8
+    it is the sign product alone, the snapshot's value over 3**w.
     """
     n = bases.shape[-1]
     # qubit-major, so each qubit's outcomes over the snapshots are contiguous
     bases, signs = bases.reshape(-1, n).T.copy(), signs.reshape(-1, n).T.copy()
     factors: dict[tuple[int, str], np.ndarray] = {}
-    values = np.empty((len(strings), bases.shape[1]))
+    values = np.empty((len(strings), bases.shape[1]), dtype=dtype)
     for row, p in zip(values, strings):
-        row[:] = 1.0
+        row[:] = 1
         for q, letter in p.support():
             if (q, letter) not in factors:
-                factors[q, letter] = (bases[q] == BASIS_CODES.index(letter)) * (3 * signs[q])
+                factors[q, letter] = (bases[q] == BASIS_CODES.index(letter)) * (unit * signs[q])
             row *= factors[q, letter]
     return values
 
@@ -190,10 +196,14 @@ def estimate_pauli(
     """Median-of-means estimate of <P>; n_batches=1 is the plain mean.
 
     A sequence of d strings gives (S, d) estimates, each state's row
-    C-contiguous.  Batches follow ``np.array_split`` within each state;
-    every snapshot value is an integer, so the batch sums are exact and the
-    estimates depend neither on how many strings nor on how many states are
-    read at once.
+    C-contiguous.  Batches follow ``np.array_split`` within each state.
+    Every snapshot value is 3**w times an integer sign product, so each
+    batch sum is taken exactly in integers: int8 sign products (``_values``
+    with unit 1), summed as int64 and then scaled by 3**w.  The estimates
+    equal those of float sums of ``snapshot_values`` and depend neither on
+    how many strings nor on how many states are read at once.  States are
+    read in groups of at most ``_GROUP_ELEMENTS`` snapshot values, since the
+    int64 sums cast a group's products to eight bytes each.
     """
     n, d = shadow.n_qubits, len(strings)
     for p in strings:
@@ -209,16 +219,18 @@ def estimate_pauli(
     sizes = np.full(n_batches, m // n_batches)
     sizes[: m % n_batches] += 1
     starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    scale = 3 ** np.array([p.weight for p in strings], dtype=np.int64)[:, None]
     n_states = len(shadow.bases)
     sums = np.empty((d, n_states, n_batches))
     group = max(1, _GROUP_ELEMENTS // (m * max(1, d)))
     for lo in range(0, n_states, group):
         part = slice(lo, lo + group)
-        values = _values(shadow.bases[part], shadow.signs[part], strings)
-        g = values.shape[1] // m
+        products = _values(shadow.bases[part], shadow.signs[part], strings, 1, np.int8)
+        g = products.shape[1] // m
         # batch b of the group's state s starts at s * M + starts[b]
         offsets = (np.arange(g)[:, None] * m + starts).ravel()
-        sums[:, lo : lo + g] = np.add.reduceat(values, offsets, axis=1).reshape(d, g, n_batches)
+        batch_sums = np.add.reduceat(products, offsets, axis=1, dtype=np.int64) * scale
+        sums[:, lo : lo + g] = batch_sums.reshape(d, g, n_batches)
     medians = np.median(sums / sizes, axis=2)
     return np.ascontiguousarray(medians.T)
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,11 +26,68 @@ EVAL_POINTS_1D = np.linspace(0.05, 0.95, 7)[:, None]
 # ---------------------------------------------------------------------------
 # basis functions
 
+# The per-order basis the flipped model evaluated before its all-orders jet:
+# one recurrence (or closed form) per derivative order, one product per
+# column.  The jet is held to it bit for bit.
+
+
+def reference_chebyshev(u, l_max, order):
+    """T_l^(order)(u) for l = 0..l_max via the differentiated recurrence,
+    carrying only the orders up to ``order``."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros(u.shape + (l_max + 1,))
+    prev2 = np.zeros((order + 1,) + u.shape)
+    prev1 = np.zeros((order + 1,) + u.shape)
+    prev2[0] = 1.0
+    out[..., 0] = 1.0 if order == 0 else 0.0
+    if l_max >= 1:
+        prev1[0] = u
+        if order >= 1:
+            prev1[1] = 1.0
+        out[..., 1] = prev1[order]
+    for l in range(2, l_max + 1):
+        cur = np.zeros_like(prev1)
+        for r in range(order + 1):
+            cur[r] = 2.0 * u * prev1[r] - prev2[r]
+            if r >= 1:
+                cur[r] += 2.0 * r * prev1[r - 1]
+        out[..., l] = cur[order]
+        prev2, prev1 = prev1, cur
+    return out
+
+
+def reference_monomial(u, l_max, order):
+    """u**l differentiated ``order`` times, for l = 0..l_max."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.zeros(u.shape + (l_max + 1,))
+    for l in range(order, l_max + 1):
+        out[..., l] = math.perm(l, order) * u ** (l - order)
+    return out
+
+
+def reference_basis_matrix(u, count, kind, dorders):
+    """The product basis at points ``u`` (shape (m, D)) with one derivative
+    order per dimension, shape (m, count), stacked column by column."""
+    fn = {"chebyshev": reference_chebyshev, "monomial": reference_monomial}[kind]
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    dim = u.shape[1]
+    indices = models.graded_multi_indices(dim, count)
+    max_deg = max(max(ix) for ix in indices)
+    per_dim = [fn(u[:, d], max_deg, dorders[d]) for d in range(dim)]
+    cols = [np.prod([per_dim[d][:, ix[d]] for d in range(dim)], axis=0) for ix in indices]
+    return np.stack(cols, axis=1)
+
+
+def jet_column(u, l_max, kind, order):
+    """d^order/du^order of basis functions 0..l_max at the scalar ``u``,
+    read off the jet."""
+    return models.basis_matrix(np.array([[u]]), l_max + 1, kind, order)[(order,)][0]
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-1.0, 1.0), st.integers(0, 8))
 def test_chebyshev_values_match_numpy(u, l_max):
-    ours = models.chebyshev_basis(u, l_max)
+    ours = jet_column(u, l_max, "chebyshev", 0)
     for l in range(l_max + 1):
         coeffs = [0.0] * l + [1.0]
         assert ours[l] == pytest.approx(npcheb.chebval(u, coeffs), abs=1e-12)
@@ -38,7 +96,7 @@ def test_chebyshev_values_match_numpy(u, l_max):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-0.9, 0.9), st.integers(1, 3), st.integers(2, 7))
 def test_chebyshev_derivatives_match_numpy(u, order, l_max):
-    ours = models.chebyshev_basis(u, l_max, order)
+    ours = jet_column(u, l_max, "chebyshev", order)
     for l in range(l_max + 1):
         coeffs = np.zeros(l + 1)
         coeffs[l] = 1.0
@@ -49,10 +107,8 @@ def test_chebyshev_derivatives_match_numpy(u, order, l_max):
 
 
 def test_monomial_basis_derivatives():
-    out = models.monomial_basis(2.0, 3, order=1)
-    assert list(out) == [0.0, 1.0, 4.0, 12.0]
-    out2 = models.monomial_basis(2.0, 3, order=2)
-    assert list(out2) == [0.0, 0.0, 2.0, 12.0]
+    assert list(jet_column(2.0, 3, "monomial", 1)) == [0.0, 1.0, 4.0, 12.0]
+    assert list(jet_column(2.0, 3, "monomial", 2)) == [0.0, 0.0, 2.0, 12.0]
 
 
 def test_graded_multi_indices():
@@ -64,11 +120,33 @@ def test_graded_multi_indices():
 
 def test_basis_matrix_product_rule():
     pts = np.array([[0.3, 0.4]])
-    mat = models.basis_matrix(pts, 6, "monomial", (0, 0))
+    jet = models.basis_matrix(pts, 6, "monomial", 1)
+    assert sorted(jet) == [(0, 0), (0, 1), (1, 0)]
     # graded order: 1, x, y, x^2, xy, y^2
-    assert np.allclose(mat[0], [1.0, 0.3, 0.4, 0.09, 0.12, 0.16])
-    dmat = models.basis_matrix(pts, 6, "monomial", (1, 0))
-    assert np.allclose(dmat[0], [0.0, 1.0, 0.0, 0.6, 0.4, 0.0])
+    assert np.allclose(jet[0, 0][0], [1.0, 0.3, 0.4, 0.09, 0.12, 0.16])
+    assert np.allclose(jet[1, 0][0], [0.0, 1.0, 0.0, 0.6, 0.4, 0.0])
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim, count", [(1, 13), (1, 1), (2, 13), (2, 6)])
+@pytest.mark.parametrize("kind", ["chebyshev", "monomial"])
+def test_basis_jet_matches_the_per_order_reference(kind, dim, count, max_order):
+    u = np.random.default_rng(dim * 10 + count).uniform(-1.5, 1.5, (21, dim))
+    jet = models.basis_matrix(u, count, kind, max_order)
+    orders = [o for o in itertools.product(range(max_order + 1), repeat=dim) if sum(o) <= max_order]
+    assert sorted(jet) == sorted(orders)
+    for o in orders:
+        reference = reference_basis_matrix(u, count, kind, o)
+        assert jet[o].flags.c_contiguous
+        assert jet[o].tobytes() == reference.tobytes(), o
+        # a matrix-vector product sums each row as over the stacked reference
+        weights = np.linspace(-1.0, 1.0, count)
+        assert (jet[o] @ weights).tobytes() == (reference @ weights).tobytes(), o
+
+
+def test_basis_jet_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        models.basis_matrix(np.zeros((3, 1)), 4, "wavelets", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +856,112 @@ def test_flipped_shadow_mode_approaches_exact():
     noisy.begin_epoch(params, np.random.default_rng(4), need_grad=False)
     approx = noisy.values(params, np.arange(len(pts)))
     assert np.allclose(approx, target, atol=0.2)
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Patches ``models.basis_matrix`` by name, as the span tracer does; the
+    list collects the points of every call."""
+    calls = []
+    basis_matrix = models.basis_matrix
+
+    def counting(u, *args, **kwargs):
+        calls.append(np.array(u))
+        return basis_matrix(u, *args, **kwargs)
+
+    monkeypatch.setattr(models, "basis_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fs_mode", ["exact", "shadow"])
+def test_flipped_epoch_builds_one_basis_jet(basis_calls, fs_mode):
+    problem = problems.damped_oscillator()
+    for epochs in (1, 3):
+        model = models.FlippedModel(4, 2, problem.eval_points, mode=fs_mode, max_order=problem.order)
+        basis_calls.clear()
+        training.train(problem, [model], {"epochs": epochs, "lr": 0.05, "stop_loss": None},
+                       np.random.default_rng(1))
+        # each at every evaluation point, grid and boundary alike
+        assert [u.shape for u in basis_calls] == [model.eval_points.shape] * epochs
+
+
+def test_flipped_basis_jet_is_keyed_by_the_input_map(basis_calls):
+    model = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact", max_order=2)
+    rng = np.random.default_rng(8)
+    params = model.init_params(rng)
+    params[-3:-1] = 1.2, -0.1
+    idx = np.arange(5)
+
+    def read(params):
+        model.begin_epoch(params, np.random.default_rng(0))
+        out = [model.values(params, idx, mode) for mode in [(), (0,), (0, 0)]]
+        out += [model.jacobian(params, idx, mode) for mode in [(), (0,), (0, 0)]]
+        fresh = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact", max_order=2)
+        fresh.begin_epoch(params, np.random.default_rng(0))
+        want = [fresh.values(params, idx, mode) for mode in [(), (0,), (0, 0)]]
+        want += [fresh.jacobian(params, idx, mode) for mode in [(), (0,), (0, 0)]]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(out, want))
+
+    read(params)
+    assert len(basis_calls) == 2   # the model's jet, then the fresh model's
+    # a rotation angle, the output scale or the offset: the jet is reused
+    for k in (0, -4, -1):
+        changed = params.copy()
+        changed[k] += 0.3
+        basis_calls.clear()
+        read(changed)
+        assert len(basis_calls) == 1, k
+    # a_in or a_shift: rebuilt
+    for k in (-3, -2):
+        changed = params.copy()
+        changed[k] += 0.3
+        basis_calls.clear()
+        read(changed)
+        assert len(basis_calls) == 2, k
+
+
+def test_flipped_basis_jet_deepens_for_a_deeper_mode(basis_calls):
+    # max_order 1 builds a jet to order 2; a second-derivative Jacobian needs 3
+    shallow = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact", max_order=1)
+    deep = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact", max_order=2)
+    params = shallow.init_params(np.random.default_rng(2))
+    for model in (shallow, deep):
+        model.begin_epoch(params, np.random.default_rng(0))
+    for mode in [(), (0,), (0, 0)]:
+        got = shallow.jacobian(params, slice(0, 7), mode)
+        assert got.tobytes() == deep.jacobian(params, slice(0, 7), mode).tobytes(), mode
+    # one jet for the deep model; the shallow one rebuilt once, at order 3
+    assert len(basis_calls) == 3
+
+
+def test_flipped_values_at_builds_its_own_jet(basis_calls):
+    model = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact", max_order=2)
+    params = model.init_params(np.random.default_rng(3))
+    model.begin_epoch(params, np.random.default_rng(0))
+    want = {mode: model.values(params, slice(0, 7), mode) for mode in [(), (0,), (0, 0)]}
+    key = model._jet_key
+    # poison the cached jet: values_at at the evaluation points must not read it
+    for matrix in model._jet.values():
+        matrix[:] = np.nan
+    basis_calls.clear()
+    for mode, values in want.items():
+        assert np.array_equal(model.values_at(params, EVAL_POINTS_1D, mode), values), mode
+    assert len(basis_calls) == 3 and model._jet_key == key
+
+
+def test_flipped_model_keeps_its_own_evaluation_points():
+    points = np.random.default_rng(4).uniform(0.0, 1.0, (5, 1))
+    model = models.FlippedModel(3, 1, points, mode="exact")
+    params = model.init_params(np.random.default_rng(0))
+    model.begin_epoch(params, np.random.default_rng(1))
+    before = model.values(params, np.arange(5), (0,))
+    points += 0.25   # a caller's in-place edit of the array it passed in
+    params[-3] += 0.5   # a new input map rebuilds the jet from the model's points
+    model.values(params, np.arange(5), (0,))
+    params[-3] -= 0.5
+    assert np.array_equal(model.values(params, np.arange(5), (0,)), before)
+    with pytest.raises(ValueError):
+        model.eval_points[0, 0] = 0.0
 
 
 def test_flipped_rejects_unknown_modes():

@@ -122,6 +122,29 @@ def test_batched_collect_peak_memory():
     assert peak < 2 * 2**20, peak
 
 
+@pytest.mark.parametrize("locality", [1, 2])
+def test_batched_estimate_peak_memory(locality):
+    # one flipped-model epoch at n = 4 (73 states of 551 snapshots) read with
+    # the 13-string loc1 or the 67-string loc2 set.  The int64 batch sums cast
+    # one group's sign products at a time, at most _GROUP_ELEMENTS of them
+    # (0.52 MB); the (strings, states, batches) sums and their median take
+    # 0.63 MB each for loc2.  All the snapshots' products at once would take
+    # 4.2 MB as int64 for loc1, 21.6 MB for loc2
+    n, n_states, m_snapshots = 4, 73, 551
+    amps = np.concatenate([random_state(np.random.default_rng(s), n) for s in range(n_states)])
+    shadow = shadows.collect(amps, m_snapshots, np.random.default_rng(9))
+    strings = enumerate_k_local(n, locality)
+    n_batches = shadows.default_batches(len(strings))
+    shadows.estimate_pauli(shadow, strings[:1], n_batches)   # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        shadows.estimate_pauli(shadow, strings, n_batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 @pytest.mark.parametrize("n_batches", [1, 10, 551])
 @pytest.mark.parametrize("locality", [1, 2])
 def test_batched_estimates_match_per_state_calls(locality, n_batches):
