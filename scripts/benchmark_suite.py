@@ -12,10 +12,10 @@ import pathlib
 import sys
 import time
 
-from dqsolve import cli
+from dqsolve import cli, problems
 from dqsolve.config import ConfigurationError, apply_overrides, default_config
 
-DEFAULT_PROBLEMS = ["damped_osc", "burgers", "coupled", "twod_linear"]
+DEFAULT_PROBLEMS = list(problems.PROBLEMS)
 DEFAULT_MODELS = ["original", "to-loc2", "fs-exact"]
 
 

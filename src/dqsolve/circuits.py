@@ -65,7 +65,7 @@ class CircuitSpec:
                 raise ConfigurationError("variational gates must be Pauli rotations")
 
 
-def _resolve_angle(gate: GateSpec, bindings, shift):
+def _resolve_angle(gate: GateSpec, bindings, shift=None):
     if gate.param is None:
         angle = gate.const
     else:
@@ -84,10 +84,10 @@ def apply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None:
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])
 
 
-def unapply_gate_to_batch(amps, n, gate: GateSpec, bindings, shift=None) -> None:
+def unapply_gate_to_batch(amps, n, gate: GateSpec, bindings) -> None:
     """Apply the inverse of one gate in place (used by backward sweeps)."""
     if gate.kind in ROTATION_KINDS:
-        angle = _resolve_angle(gate, bindings, shift)
+        angle = _resolve_angle(gate, bindings)
         apply_rotation_batch(amps, n, gate.qubits[0], gate.kind[1], -np.asarray(angle))
     else:
         apply_cnot_batch(amps, n, gate.qubits[0], gate.qubits[1])

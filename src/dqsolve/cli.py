@@ -22,6 +22,10 @@ import numpy as np
 
 from . import models, pauli, problems, shadows, training
 from .config import (
+    BASES,
+    FS_MODES,
+    OBSERVABLE_SETS,
+    VARIANTS,
     ConfigurationError,
     RunConfig,
     apply_overrides,
@@ -414,10 +418,10 @@ def cmd_selftest(args) -> int:
 def _add_config_flags(sub):
     sub.add_argument("--config", help="configuration file (INI, [run] section)")
     sub.add_argument("--problem", choices=list(problems.PROBLEMS))
-    sub.add_argument("--variant", "--model", dest="variant", choices=("original", "to", "fs"))
-    sub.add_argument("--obs", dest="observables", choices=("loc1", "loc2", "all"))
-    sub.add_argument("--basis", choices=("chebyshev", "monomial"))
-    sub.add_argument("--fs-mode", dest="fs_mode", choices=("exact", "shadow"))
+    sub.add_argument("--variant", "--model", dest="variant", choices=VARIANTS)
+    sub.add_argument("--obs", dest="observables", choices=OBSERVABLE_SETS)
+    sub.add_argument("--basis", choices=BASES)
+    sub.add_argument("--fs-mode", dest="fs_mode", choices=FS_MODES)
     sub.add_argument("--n-qubits", dest="n_qubits", type=int)
     sub.add_argument("--depth", type=int)
     sub.add_argument("--epochs", type=int)

@@ -9,10 +9,11 @@ import io
 import math
 from dataclasses import dataclass, fields
 
+from . import problems
 # one error class for every layer: the circuits and the statevector raise it too
 from .statevector import MAX_QUBITS, ConfigurationError
 
-PROBLEMS = ("damped_osc", "burgers", "coupled", "twod_linear")
+PROBLEMS = tuple(problems.PROBLEMS)
 VARIANTS = ("original", "to", "fs")
 OBSERVABLE_SETS = ("loc1", "loc2", "all")
 BASES = ("chebyshev", "monomial")

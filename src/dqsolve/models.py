@@ -34,7 +34,7 @@ import numpy as np
 
 from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, GateSpec, run_batch
-from .statevector import ConfigurationError, pauli_expectation_batch, pauli_tables
+from .statevector import ConfigurationError, pauli_batch, pauli_expectation_batch, pauli_tables
 
 SHIFT = np.pi / 2.0
 
@@ -204,24 +204,7 @@ def diagonal_table(observable) -> tuple[np.ndarray, np.ndarray]:
     return src[:1], (weights[:, None] * coef).sum(axis=0, keepdims=True)
 
 
-def rotation_generators(circuit: CircuitSpec, gate_indices) -> tuple[np.ndarray, np.ndarray]:
-    """The ``pauli_tables`` of the Pauli generator of each listed rotation gate."""
-    n = circuit.n_qubits
-    letters = []
-    for i in gate_indices:
-        gate = circuit.gates[i]
-        q = gate.qubits[0]
-        letters.append("I" * q + gate.kind[1] + "I" * (n - q - 1))
-    return pauli_tables(letters)
-
-
-def _tile_rows(value, copies: int):
-    """A per-row binding or shift (shape (rows,)) repeated for ``copies``
-    stacked copies of the rows; a scalar stays as it is."""
-    return value if np.ndim(value) == 0 else np.tile(value, copies)
-
-
-def adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts=None, generators=None):
+def adjoint_gradients(circuit, bindings, amps, lam, gate_indices):
     """One backward sweep from final states ``amps`` and co-states ``lam``.
 
     Returns G[k, r] = 2 Re(-i/2 <lam_r|P_k amps_r>) * scale_k for each listed
@@ -231,30 +214,26 @@ def adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts=None, g
     gives; with lam = C|b> it is the a-side of d Re<a|C|b>/d(angle_k).  The
     sweep works on one (2 * rows, 2**n) stack of both, so every gate is
     unapplied once; ``amps`` and ``lam`` are not swept in place and come back
-    unchanged.  ``generators`` is ``rotation_generators`` of the listed gates,
-    built here if not given.
+    unchanged.  P_k amps is ``pauli_batch`` of the gate's axis and qubit.
     """
     n = circuit.n_qubits
-    if generators is None:
-        generators = rotation_generators(circuit, gate_indices)
-    gen_src, gen_pc = generators
     position = {g: k for k, g in enumerate(gate_indices)}
-    rows = amps.shape[0]
     stack = np.concatenate([amps, lam])
-    states, costates = stack[:rows], stack[rows:]
-    bindings = {name: _tile_rows(value, 2) for name, value in bindings.items()}
-    shifts = {i: _tile_rows(shift, 2) for i, shift in (shifts or {}).items()}
+    states, costates = stack[: len(amps)], stack[len(amps) :]
+    # a per-row binding (shape (rows,)) binds both halves of the stack
+    bindings = {name: v if np.ndim(v) == 0 else np.tile(v, 2) for name, v in bindings.items()}
     first = min(gate_indices)
-    grads = np.empty((len(gate_indices), rows))
+    grads = np.empty((len(gate_indices), len(amps)))
     for i in range(len(circuit.gates) - 1, first - 1, -1):
         gate = circuit.gates[i]
         k = position.get(i)
         if k is not None:
-            inner = np.einsum("bi,bi->b", np.conj(costates), gen_pc[k][None, :] * states[:, gen_src[k]])
+            generated = pauli_batch(states, n, gate.qubits[0], gate.kind[1])
+            inner = np.einsum("bi,bi->b", np.conj(costates), generated)
             # dU/dtheta U^dag = -i/2 * scale * P on the target qubit
             grads[k] = 2.0 * np.real(-0.5j * inner) * gate.scale
         if i > first:
-            circuits.unapply_gate_to_batch(stack, n, gate, bindings, shifts.get(i))
+            circuits.unapply_gate_to_batch(stack, n, gate, bindings)
     return grads
 
 
@@ -262,15 +241,13 @@ def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, cost, gat
     """A mode expectation of the ``diagonal_table`` ``cost`` (row 0) and its
     gradient with respect to the listed rotation gates (rows 1..), one
     adjoint sweep per shift configuration: the shift-rule reference for the
-    original model's jets."""
-    generators = rotation_generators(circuit, gate_indices)
+    original model's jets.  The sweep ends before the shifted input prefix."""
+    _encoder_length(circuit)   # raises unless the input-bound gates are an RX prefix
 
     def evaluate(shifts):
         amps = run_batch(circuit, bindings, batch, shifts=shifts)
         value = pauli_expectation_batch(amps, cost)[:, 0]
-        grads = adjoint_gradients(
-            circuit, bindings, amps, cost[1] * amps, gate_indices, shifts, generators
-        )
+        grads = adjoint_gradients(circuit, bindings, amps, cost[1] * amps, gate_indices)
         return np.vstack([value[None, :], grads])
 
     return _combine_over_mode(circuit, enc_by_dim, mode, evaluate)
@@ -308,7 +285,6 @@ def prefix_jets(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, de
     if () not in derived:
         prefix = CircuitSpec(n, circuit.gates[:length], input_params=circuit.input_params)
         derived[()] = run_batch(prefix, bindings, batch)
-    index = np.arange(2**n)
     for jet in map(tuple, jets):
         for order in range(1, len(jet) + 1):
             if jet[:order] not in derived:
@@ -316,7 +292,7 @@ def prefix_jets(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, de
                 out = np.zeros_like(lower)
                 for g in enc_by_dim[jet[order - 1]]:
                     gate = circuit.gates[g]
-                    out += (-0.5j * gate.scale) * lower[:, index ^ (1 << gate.qubits[0])]
+                    out += (-0.5j * gate.scale) * pauli_batch(lower, n, gate.qubits[0], "X")
                 derived[jet[:order]] = out
     return derived
 
@@ -374,14 +350,14 @@ def mode_expectations(
     terms = jet_terms(mode)
     jets = list(dict.fromkeys(jet for _w, u, v in terms for jet in (u, v)))
     amps = jet_states(circuit, enc_by_dim, bindings, batch, jets)
-    if not mode:
-        return pauli_expectation_batch(amps, tables).T
     rows = {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
-    # a Hermitian read (u == v) keeps its imaginary-part check
-    return sum(
-        w * pauli_expectation_batch(rows[v], tables, None if u == v else rows[u]).T
-        for w, u, v in terms
-    )
+    total = None
+    for w, u, v in terms:
+        # a Hermitian read (u == v) keeps its imaginary-part check
+        term = pauli_expectation_batch(rows[v], tables, None if u == v else rows[u]).T
+        term *= w   # in place, as is the sum: a value read holds one (d, batch) array
+        total = term if total is None else np.add(total, term, out=total)
+    return total
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -493,14 +469,10 @@ class RowForm:
         for w, u, v in jet_terms(mode):
             for a, b in ((u, v), (v, u)):
                 blocks[a, b] = blocks.get((a, b), 0.0) + w / 2.0
-        grads = adjoint_gradients(
-            model.circuit,
-            model._bindings(model.eval_points[idx], theta),
-            np.concatenate([jets[a][0][idx] for a, _b in blocks]),
-            np.concatenate([jets[b][1][idx] for _a, b in blocks]),
-            model.gate_indices,
-            generators=model.generators,
-        )
+        states = np.concatenate([jets[a][0][idx] for a, _b in blocks])
+        costates = np.concatenate([jets[b][1][idx] for _a, b in blocks])
+        bindings = model._bindings(model.eval_points[idx], theta)
+        grads = adjoint_gradients(model.circuit, bindings, states, costates, model.gate_indices)
         weights = np.array(list(blocks.values()))
         n_pts = grads.shape[1] // len(blocks)
         return np.einsum("c,kcb->bk", weights, grads.reshape(len(grads), len(blocks), n_pts))
@@ -571,10 +543,8 @@ class ProbeForm:
             bindings.update(zip(model.rotation_params, theta))
             amps = run_batch(self.circuit, bindings, len(angles))
             o = pauli_expectation_batch(amps, model.cost)[:, 0]
-            grads = adjoint_gradients(
-                self.circuit, bindings, amps, model.cost[1] * amps, self.gate_indices,
-                generators=model.generators,
-            )
+            lam = model.cost[1] * amps
+            grads = adjoint_gradients(self.circuit, bindings, amps, lam, self.gate_indices)
             self._key, self._heisenberg = key, (o, grads)
         return self._heisenberg
 
@@ -617,7 +587,6 @@ class OriginalModel:
         self.observable = pauli.sum_of_z(n_qubits)
         self.cost = diagonal_table(self.observable)
         self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
-        self.generators = rotation_generators(self.circuit, self.gate_indices)
         self.counter = counter
         # the feature-map jets at every evaluation point, by jet; filled on first use
         self._phi: dict = {}
@@ -962,9 +931,7 @@ class FlippedModel:
     # -- classical evaluation ---------------------------------------------
 
     def _mapped(self, params, points):
-        a_in = params[-3]
-        a_shift = params[-2]
-        return a_in * points + a_shift
+        return params[-3] * points + params[-2]   # a_in * x + a_shift
 
     def _dorders(self, mode):
         d = [0] * self.dimension

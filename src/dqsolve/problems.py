@@ -21,6 +21,11 @@ from itertools import product
 
 import numpy as np
 
+from .statevector import ConfigurationError
+
+# The largest collocation grid, in points; runs keep per-point arrays of it.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -39,6 +44,8 @@ def make_grid(counts, bounds) -> Grid:
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if any(c < 2 for c in counts):
         raise ValueError("need at least 2 points per dimension")
+    if math.prod(counts) > MAX_GRID_POINTS:
+        raise ConfigurationError(f"a grid of {math.prod(counts)} points exceeds {MAX_GRID_POINTS}")
     axes = []
     for c, (lo, hi) in zip(counts, bounds):
         i = np.arange(c)

@@ -12,11 +12,11 @@ take batches of shape (batch, 2**n), so that many circuit evaluations (grid
 points, shifted parameters) run in one numpy call, and one state is a batch
 of one.  Pauli strings are read through their ``pauli_tables``.
 
-Rotations and CNOTs work on whole contiguous rows through index tables
-cached per register size and qubit(s): a rotation gathers each amplitude's
-partner across qubit q (index ``i ^ (1 << q)``) once and combines in place,
-and a CNOT is one gather through a basis permutation.  Fixed 2x2 matrices
-(``apply_matrix_batch``) still act on (high, 2, low) views.
+Gates and one-qubit Paulis act on whole contiguous rows through index tables
+cached per register size and qubit(s).  An operator on qubit q reads the
+(flip, z) tables of q: each amplitude's partner across q (index ``i ^ (1 << q)``)
+is gathered once and combined, in rotations, fixed 2x2 matrices and Pauli
+generators alike.  A CNOT is one gather through a basis permutation.
 """
 
 from __future__ import annotations
@@ -35,13 +35,6 @@ class ConfigurationError(ValueError):
 def _check_qubit(n: int, q: int) -> None:
     if not 0 <= q < n:
         raise ConfigurationError(f"qubit index {q} out of range for {n} qubits")
-
-
-def _split_axes(amps: np.ndarray, n: int, q: int) -> np.ndarray:
-    """View (B, 2**n) as (B, high, 2, low) with the target qubit on axis 2."""
-    low = 1 << q
-    high = 1 << (n - 1 - q)
-    return amps.reshape(amps.shape[0], high, 2, low)
 
 
 @functools.cache
@@ -103,13 +96,26 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def apply_matrix_batch(amps, n, q, matrix):
-    """Apply a fixed 2x2 unitary to qubit q of every row, in place."""
+    """Apply a fixed 2x2 unitary m to qubit q of every row, in place: with b
+    bit q of i, psi[i] becomes m[b, b] psi[i] + m[b, 1 - b] psi[flip[i]]."""
     _check_qubit(n, q)
-    view = _split_axes(amps, n, q)
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    view[:, :, 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    flip, z = _qubit_tables(n, q)
+    partner = amps.take(flip, axis=1)   # C-ordered; amps[:, flip] is F-ordered, a slower sum
+    partner *= np.where(z > 0, matrix[0, 1], matrix[1, 0])
+    amps *= np.where(z > 0, matrix[0, 0], matrix[1, 1])
+    amps += partner
+
+
+def pauli_batch(amps, n, q, axis):
+    """The Pauli ``axis`` on qubit q applied to every row, as a new array:
+    X psi = psi[flip], Y psi = -i z psi[flip] and Z psi = z psi."""
+    _check_qubit(n, q)
+    flip, z = _qubit_tables(n, q)
+    if axis == "Z":
+        return z * amps
+    if axis not in ("X", "Y"):
+        raise ConfigurationError(f"unknown Pauli axis {axis!r}")
+    return amps[:, flip] if axis == "X" else (-1j * z) * amps[:, flip]
 
 
 H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=np.complex128)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqsolve import cli
+from dqsolve import cli, problems
 from dqsolve.config import (
+    BASES,
+    FS_MODES,
+    OBSERVABLE_SETS,
+    PROBLEMS,
+    VARIANTS,
     ConfigurationError,
     RunConfig,
     apply_overrides,
@@ -138,6 +143,18 @@ def test_run_is_reconstructible_from_config_echo(tmp_path):
     assert a == b
 
 
+def test_choice_lists_have_one_source():
+    # the configuration's lists validate a RunConfig and are the flags' choices
+    assert PROBLEMS == tuple(problems.PROBLEMS)
+    run = cli.build_parser()._subparsers._group_actions[0].choices["run"]
+    choices = {action.dest: action.choices for action in run._actions}
+    assert list(choices["problem"]) == list(PROBLEMS)
+    assert choices["variant"] == VARIANTS
+    assert choices["observables"] == OBSERVABLE_SETS
+    assert choices["basis"] == BASES
+    assert choices["fs_mode"] == FS_MODES
+
+
 def test_invalid_config_exit_code(tmp_path):
     assert run_cli("run", "--problem", "damped_osc", "--variant", "to",
                    "--obs", "loc2", "--n-qubits", "13",
@@ -161,6 +178,11 @@ def test_invalid_config_exit_code(tmp_path):
         fs = ("--problem", "damped_osc", "--variant", "fs", *flag)
         assert run_cli("run", *fs, "--epochs", "1", "--out", str(tmp_path / "w")) == cli.EXIT_CONFIG
         assert run_cli("count", *fs) == cli.EXIT_CONFIG
+    # a grid beyond problems.MAX_GRID_POINTS is refused before it is built,
+    # not left to a MemoryError or a killed process
+    for problem, m in [("twod_linear", "1001"), ("damped_osc", "1000001")]:
+        assert run_cli("count", "--problem", problem, "--variant", "fs",
+                       "--grid-m", m) == cli.EXIT_CONFIG
     # a one-point grid and negative budget exponents are refused, not left to a
     # ValueError traceback or a silently shrunken budget
     for problem, flag in [("damped_osc", ["--grid-m", "1"]), ("twod_linear", ["--grid-m", "1"]),

@@ -220,23 +220,22 @@ def _swept_circuit_and_rows(rows):
     circuit = circuits.compose(circuits.hea(3, 2), circuits.tower_feature_map(3, "x0"))
     bindings = {"x0": rng.uniform(-1.0, 1.0, rows)}
     bindings.update({p: float(rng.uniform(-np.pi, np.pi)) for p in circuit.variational_params})
-    shifts = {len(circuit.gates) - 1: rng.uniform(-1.0, 1.0, rows), 3: np.pi / 2}
     gate_indices = [circuit.gate_indices_for(p)[0] for p in circuit.variational_params]
-    amps = circuits.run_batch(circuit, bindings, rows, shifts)
-    lam = models.diagonal_table(pauli.sum_of_z(3))[1] * circuits.run_batch(circuit, bindings, rows)
-    return circuit, bindings, shifts, gate_indices, amps, lam
+    amps = circuits.run_batch(circuit, bindings, rows)
+    lam = models.diagonal_table(pauli.sum_of_z(3))[1] * amps
+    return circuit, bindings, gate_indices, amps, lam
 
 
 def test_adjoint_gradients_leave_their_inputs_unchanged():
-    circuit, bindings, shifts, gate_indices, amps, lam = _swept_circuit_and_rows(4)
+    circuit, bindings, gate_indices, amps, lam = _swept_circuit_and_rows(4)
     before = amps.copy(), lam.copy()
-    models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts)
+    models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices)
     assert np.array_equal(amps, before[0]) and np.array_equal(lam, before[1])
 
 
 def test_adjoint_gradients_of_a_batch_equal_each_row_swept_alone():
-    circuit, bindings, shifts, gate_indices, amps, lam = _swept_circuit_and_rows(5)
-    batch = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices, shifts)
+    circuit, bindings, gate_indices, amps, lam = _swept_circuit_and_rows(5)
+    batch = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices)
     for r in range(5):
         def pick(value):
             return value if np.ndim(value) == 0 else value[r : r + 1]
@@ -247,9 +246,26 @@ def test_adjoint_gradients_of_a_batch_equal_each_row_swept_alone():
             amps[r : r + 1],
             lam[r : r + 1],
             gate_indices,
-            {i: pick(shift) for i, shift in shifts.items()},
         )
         assert np.array_equal(alone[:, 0], batch[:, r])
+
+
+def test_adjoint_gradients_read_the_sweep_at_every_gate():
+    # every listed rotation of the per-row swept circuit, against the shift rule
+    circuit, bindings, gate_indices, amps, lam = _swept_circuit_and_rows(3)
+    adj = models.adjoint_gradients(circuit, bindings, amps, lam, gate_indices)
+    obs = pauli.sum_of_z(3)
+    for r in range(3):
+        row = {name: value[r] if np.ndim(value) else value for name, value in bindings.items()}
+        assert np.allclose(adj[:, r], differentiation.grad_variational(circuit, row, obs), atol=1e-10)
+
+
+def test_mode_variational_grads_need_an_rx_input_prefix():
+    # the shifted input gates have to form the prefix, which the sweep never unapplies
+    ansatz_first = circuits.compose(circuits.hea(2, 1), circuits.tower_feature_map(2, "x0"))
+    cost = models.diagonal_table(pauli.sum_of_z(2))
+    with pytest.raises(ConfigurationError):
+        models.mode_variational_grads(ansatz_first, {"x0": 0.3}, 1, {0: [7, 8]}, (0,), cost, [0])
 
 
 @pytest.mark.parametrize("dimension, mode", [(1, ()), (1, (0,)), (1, (0, 0)), (2, (1,))])

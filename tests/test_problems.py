@@ -21,6 +21,7 @@ from dqsolve.problems import (
     burgers_poles,
     make_grid,
 )
+from dqsolve.statevector import ConfigurationError
 
 
 def test_make_grid_interior_points():
@@ -29,6 +30,18 @@ def test_make_grid_interior_points():
     assert grid.size == 4
     with pytest.raises(ValueError):
         make_grid((1,), ((0.0, 1.0),))
+
+
+def test_make_grid_refuses_a_grid_beyond_the_cap(monkeypatch):
+    # refused before anything is allocated: 10**12 points would not fit
+    bounds = ((0.0, 1.0), (0.0, 1.0))
+    for counts in [(problems.MAX_GRID_POINTS + 1,), (1001, 1000), (10**6, 10**6)]:
+        with pytest.raises(ConfigurationError):
+            make_grid(counts, bounds[: len(counts)])
+    monkeypatch.setattr(problems, "MAX_GRID_POINTS", 12)
+    assert make_grid((3, 4), bounds).size == 12
+    with pytest.raises(ConfigurationError):
+        make_grid((13,), bounds[:1])
 
 
 def test_make_grid_2d_is_product():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dqsolve.circuits import CircuitSpec, run_batch
 from dqsolve.statevector import (
+    BASIS_ROTATION,
     ConfigurationError,
     H_MATRIX,
     apply_cnot_batch,
@@ -16,6 +17,7 @@ from dqsolve.statevector import (
     apply_rotation_batch,
     expectation,
     pauli_action,
+    pauli_batch,
     pauli_expectation_batch,
     pauli_tables,
     rotate_to_bases,
@@ -132,7 +134,11 @@ def test_kernels_reject_bad_axes_and_qubits():
                 lambda: apply_rotation_batch(amps, 2, 2, "X", 0.1),
                 lambda: apply_rotation_batch(amps, 2, -1, "Z", 0.1),
                 lambda: apply_cnot_batch(amps, 2, 0, 2),
-                lambda: apply_cnot_batch(amps, 2, 3, 0)]:
+                lambda: apply_cnot_batch(amps, 2, 3, 0),
+                lambda: apply_matrix_batch(amps, 2, 2, H_MATRIX),
+                lambda: pauli_batch(amps, 2, 0, "W"),
+                lambda: pauli_batch(amps, 2, 0, "I"),
+                lambda: pauli_batch(amps, 2, 2, "X")]:
         with pytest.raises(ConfigurationError):
             bad()
 
@@ -274,3 +280,42 @@ def test_expectation_reads_every_row():
     assert np.array_equal(expectation(amps, PauliString("Z")), expectation(amps, PauliString("ZII")))
     with pytest.raises(ConfigurationError):
         expectation(amps, PauliString("ZIIZ"))
+
+
+def _bits(amps):
+    """The bytes of every amplitude, signed zeros included."""
+    return np.ascontiguousarray(amps).view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pauli_batch_is_the_pauli_action_gather(n):
+    # the adjoint sweep read each generator as coef * amps[:, src] before
+    amps = random_states(np.random.default_rng(n), 3, n)
+    for q in range(n):
+        for axis in "XYZ":
+            src, coef = pauli_action("I" * q + axis + "I" * (n - q - 1))
+            got = pauli_batch(amps, n, q, axis)
+            assert _bits(got) == _bits(coef * amps[:, src]), (q, axis)
+    assert np.array_equal(amps, random_states(np.random.default_rng(n), 3, n))
+
+
+def view_matrix_batch(amps, n, q, matrix):
+    """A 2x2 matrix on qubit q of every row through a (rows, high, 2, low)
+    view, the arithmetic ``apply_matrix_batch`` is held to bit for bit."""
+    view = amps.reshape(amps.shape[0], 1 << (n - 1 - q), 2, 1 << q)
+    a0 = view[:, :, 0, :].copy()
+    a1 = view[:, :, 1, :]
+    view[:, :, 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    view[:, :, 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_matrix_batch_matches_the_view_arithmetic(n):
+    # shadow outcomes compare Born sums with uniforms, so the last bits matter
+    amps = random_states(np.random.default_rng(10 + n), 5, n)
+    for q in range(n):
+        for matrix in (H_MATRIX, BASIS_ROTATION["X"], BASIS_ROTATION["Y"]):
+            got, expected = amps.copy(), amps.copy()
+            apply_matrix_batch(got[1:4], n, q, matrix)   # a block of rows, as shadows pass
+            view_matrix_batch(expected[1:4], n, q, matrix)
+            assert _bits(got) == _bits(expected), (q, matrix)
