@@ -110,8 +110,7 @@ def run_batch(circuit: CircuitSpec, bindings, batch: int, shifts=None) -> np.nda
 
 def tower_feature_map(n: int, param: str = "x") -> CircuitSpec:
     """One RX per qubit j with angle (j+1) * x: frequencies 1..n."""
-    gates = tuple(GateSpec("RX", (j,), param=param, scale=float(j + 1)) for j in range(n))
-    return CircuitSpec(n, gates, input_params=frozenset({param}))
+    return split_tower_feature_map(n, (param,))
 
 
 def split_tower_feature_map(n: int, params) -> CircuitSpec:

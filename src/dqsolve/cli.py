@@ -7,7 +7,8 @@ grid, with the reference solution where one exists), ``summary.json``
 (config echo, seed, final metrics, counter breakdown) and, on request, a
 small self-contained ``chart.svg``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a run that does not fit in
+memory among them: numpy raised ``MemoryError``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def solution_csv(problem, trial_models, trace: training.TrainTrace) -> str:
     columns = list(coords)
     data = [points[:, d] for d in range(problem.dimension)]
     for fn, (model, params) in enumerate(zip(trial_models, trace.final_params)):
-        values = model.values_at(params, points, (), phase=models.PHASE_INFERENCE)
+        values = model.values_at(params, points, ())
         exact = problem.analytic[fn](points)
         columns.extend([f"f{fn}_model", f"f{fn}_exact", f"f{fn}_sq_err"])
         data.extend([values, exact, (values - exact) ** 2])
@@ -258,11 +259,6 @@ def _resolve_config(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
-    if getattr(args, "order_check", False):
-        from .differentiation import self_check
-
-        report = self_check(np.random.default_rng(config.seed))
-        print(f"derivative self-check: first {report['first']:.2e}, second {report['second']:.2e}")
     problem, trial_models, trace, counter = execute(config)
     out = write_run_artifacts(config, problem, trial_models, trace, counter)
     final = trace.records[-1]
@@ -449,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="train one model and write artifacts")
     _add_config_flags(p_run)
-    p_run.add_argument("--order-check", action="store_true",
-                       help="run the derivative self-test before training")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = subs.add_parser("compare", help="train several models on one problem")
@@ -485,6 +479,9 @@ def main(argv=None) -> int:
     except training.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"configuration error: the run does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -328,6 +328,24 @@ def jet_terms(mode: tuple[int, ...]) -> list:
     raise ConfigurationError(f"input derivatives above second order are not supported: {mode}")
 
 
+def term_jets(mode: tuple[int, ...]) -> list:
+    """The distinct jets the terms of ``jet_terms(mode)`` read, in first-use order."""
+    return list(dict.fromkeys(jet for _w, u, v in jet_terms(mode) for jet in (u, v)))
+
+
+def read_jet_terms(rows: dict, mode: tuple[int, ...], tables) -> np.ndarray:
+    """sum of w * Re<rows[u]|T|rows[v]> over ``jet_terms(mode)`` for every row T
+    of the ``pauli_tables`` pair ``tables``, shape (d, batch); ``rows`` maps each
+    jet of ``term_jets(mode)`` to its (batch, 2**n) states."""
+    total = None
+    for w, u, v in jet_terms(mode):
+        # a Hermitian read (u == v) keeps its imaginary-part check
+        term = pauli_expectation_batch(rows[v], tables, None if u == v else rows[u]).T
+        term *= w   # in place, as is the sum: a value read holds one (d, batch) array
+        total = term if total is None else np.add(total, term, out=total)
+    return total
+
+
 def mode_expectations(
     circuit: CircuitSpec,
     bindings: dict,
@@ -341,23 +359,16 @@ def mode_expectations(
     ``tables`` is a ``pauli_tables`` pair (src, coef) of d rows: Pauli
     strings (the trainable observable's labels) or a ``diagonal_table``
     (the original model's cost operator).  Exact jets compute every value:
-    the distinct jets of ``jet_terms(mode)`` run as one stacked batch
-    (``jet_states``), and each term w * Re<psi_u|C|psi_v> reads all d rows in
-    one pass.  ``shift_rule`` only sets what the protocol is charged for them.
+    the ``term_jets`` of the mode run as one stacked batch (``jet_states``),
+    and ``read_jet_terms`` reads all d rows in one pass per term.
+    ``shift_rule`` only sets what the protocol is charged for them.
 
     Returns shape (d, batch).
     """
-    terms = jet_terms(mode)
-    jets = list(dict.fromkeys(jet for _w, u, v in terms for jet in (u, v)))
+    jets = term_jets(mode)
     amps = jet_states(circuit, enc_by_dim, bindings, batch, jets)
     rows = {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
-    total = None
-    for w, u, v in terms:
-        # a Hermitian read (u == v) keeps its imaginary-part check
-        term = pauli_expectation_batch(rows[v], tables, None if u == v else rows[u]).T
-        term *= w   # in place, as is the sum: a value read holds one (d, batch) array
-        total = term if total is None else np.add(total, term, out=total)
-    return total
+    return read_jet_terms(rows, mode, tables)
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -377,9 +388,7 @@ def input_param_names(dimension: int) -> tuple[str, ...]:
 
 
 def feature_map(n_qubits: int, dimension: int) -> CircuitSpec:
-    """Tower feature map on x0 in 1-D; in 2-D, split between x0 and x1."""
-    if dimension == 1:
-        return circuits.tower_feature_map(n_qubits, "x0")
+    """Tower feature map split between the inputs x0, x1, ...: the tower on x0 in 1-D."""
     return circuits.split_tower_feature_map(n_qubits, input_param_names(dimension))
 
 
@@ -420,14 +429,16 @@ class RowForm:
     """The original model's <C> derivatives from jets at every evaluation point.
 
     Per parameter vector the ansatz runs forward once on each jet's rows at
-    every point, and each Jacobian is one adjoint sweep over the stacked jets
-    of its points.  Simulated rows grow with the number of points.
+    every point, and the final states are kept, one (points, 2**n) array per
+    jet.  ``raw`` reads them with ``read_jet_terms`` on the cost's
+    ``diagonal_table``; each Jacobian is one adjoint sweep over the stacked
+    jets of its points.  Simulated rows grow with the number of points.
     """
 
     def __init__(self, model):
         self.model = model
         # the rotation angles the jets were gathered at, and per jet the final
-        # states psi_J and C psi_J at every evaluation point
+        # states psi_J at every evaluation point
         self._key = None
         self._jets: dict = {}
 
@@ -437,26 +448,21 @@ class RowForm:
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key != self._key:
             self._key, self._jets = key, {}
-        needed = dict.fromkeys(jet for _w, u, v in jet_terms(mode) for jet in (u, v))
-        missing = [jet for jet in needed if jet not in self._jets]
+        missing = [jet for jet in term_jets(mode) if jet not in self._jets]
         if missing:
             model = self.model
             n_pts = model.eval_points.shape[0]
             bindings = model._bindings(model.eval_points, theta)
             amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, model._phi)
-            lam = model.cost[1] * amps
             for j, jet in enumerate(missing):
-                rows = slice(j * n_pts, (j + 1) * n_pts)
-                self._jets[jet] = (amps[rows], lam[rows])
+                self._jets[jet] = amps[j * n_pts : (j + 1) * n_pts]
         return self._jets
 
     def raw(self, theta, idx, mode):
         """The mode's input derivative of <C> at the evaluation points ``idx``."""
         jets = self._gather(theta, mode)
-        return sum(
-            w * np.einsum("bi,bi->b", np.conj(jets[u][0][idx]), jets[v][1][idx]).real
-            for w, u, v in jet_terms(mode)
-        )
+        rows = {jet: jets[jet][idx] for jet in term_jets(mode)}
+        return read_jet_terms(rows, mode, self.model.cost)[0]
 
     def theta_grads(self, theta, idx, mode):
         """d raw / d theta at the points ``idx``, shape (points, rotations)."""
@@ -469,8 +475,8 @@ class RowForm:
         for w, u, v in jet_terms(mode):
             for a, b in ((u, v), (v, u)):
                 blocks[a, b] = blocks.get((a, b), 0.0) + w / 2.0
-        states = np.concatenate([jets[a][0][idx] for a, _b in blocks])
-        costates = np.concatenate([jets[b][1][idx] for _a, b in blocks])
+        states = np.concatenate([jets[a][idx] for a, _b in blocks])
+        costates = model.cost[1] * np.concatenate([jets[b][idx] for _a, b in blocks])
         bindings = model._bindings(model.eval_points[idx], theta)
         grads = adjoint_gradients(model.circuit, bindings, states, costates, model.gate_indices)
         weights = np.array(list(blocks.values()))
@@ -517,14 +523,15 @@ class ProbeForm:
         probe states ordered as ``itertools.product`` over qubits 0..n-1."""
         mode = tuple(mode)
         if mode not in self._features:
-            n = self.model.n_qubits
-            terms = jet_terms(mode)
-            phi = self.model._prefix_jets([jet for _w, u, v in terms for jet in (u, v)])
-            tables = pauli_tables(["".join(p) for p in itertools.product("IYZ", repeat=n)])
-            paulis = sum(
-                w * pauli_expectation_batch(phi[v], tables, None if u == v else phi[u])
-                for w, u, v in terms
+            model = self.model
+            n, points = model.n_qubits, model.eval_points
+            # the feature-map jets do not depend on theta: each runs once per model
+            phi = prefix_jets(
+                model.circuit, model.enc_by_dim, _input_bindings(points), len(points),
+                term_jets(mode), model._phi,
             )
+            tables = pauli_tables(["".join(p) for p in itertools.product("IYZ", repeat=n)])
+            paulis = read_jet_terms(phi, mode, tables).T
             # the n-fold Kronecker power of _PROBE_MAP, one qubit axis at a time
             feats = paulis.reshape((-1,) + (3,) * n)
             for _ in range(n):
@@ -602,14 +609,6 @@ class OriginalModel:
         bindings.update({pid: theta[i] for i, pid in enumerate(self.rotation_params)})
         return bindings
 
-    def _prefix_jets(self, jets) -> dict:
-        """The feature-map jets at every evaluation point; they do not depend
-        on the parameters, so each runs once per model."""
-        points = self.eval_points
-        return prefix_jets(
-            self.circuit, self.enc_by_dim, _input_bindings(points), len(points), jets, self._phi
-        )
-
     @staticmethod
     def _scaled(params, raw, mode):
         """scale * raw, plus the shift on plain values."""
@@ -640,12 +639,12 @@ class OriginalModel:
             jac[:, -1] = 1.0
         return jac
 
-    def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE):
+    def values_at(self, params, points, mode=()):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         bindings = self._bindings(points, params[:-2])
         n_pts = len(points)
         raw = mode_expectations(self.circuit, bindings, n_pts, self.enc_by_dim, mode, self.cost)[0]
-        _charge(self.counter, n_pts * runs_per_point(self.enc_by_dim, mode), phase)
+        _charge(self.counter, n_pts * runs_per_point(self.enc_by_dim, mode), PHASE_INFERENCE)
         return self._scaled(params, raw, mode)
 
 
@@ -798,7 +797,7 @@ class TOModel:
         jac[:, -1] = rows @ alpha
         return jac
 
-    def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE):
+    def values_at(self, params, points, mode=()):
         """Off-table inference: fresh simulation, charged d per point."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         prov = self.table.provenance
@@ -808,7 +807,7 @@ class TOModel:
             circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.tables
         ).T
         d = self.table.n_observables
-        _charge(self.counter, to_charge(d, points.shape[0], enc, [mode]), phase)
+        _charge(self.counter, to_charge(d, points.shape[0], enc, [mode]), PHASE_INFERENCE)
         alpha, a_s = params[:-1], params[-1]
         return a_s * (rows @ alpha)
 
@@ -993,10 +992,10 @@ class FlippedModel:
             jac[:, n_rot + 3] = 1.0  # alpha_offset
         return jac
 
-    def values_at(self, params, points, mode=(), phase=PHASE_INFERENCE, rng=None):
+    def values_at(self, params, points, mode=(), rng=None):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         mode = tuple(mode)
-        exps = self._gathered(params, False, rng, phase)[0]
+        exps = self._gathered(params, False, rng, PHASE_INFERENCE)[0]
         # off the evaluation points: a jet of its own, up to the mode's order
         u = self._mapped(params, points)
         basis = basis_matrix(u, self.n_basis, self.basis, len(mode))[self._dorders(mode)]

@@ -89,6 +89,12 @@ class DEProblem:
         return {fn: tuple(sorted(s, key=lambda t: (len(t), t))) for fn, s in modes.items()}
 
     @functools.cached_property
+    def boundary_rows(self) -> dict[int, list[int]]:
+        """Per function, the indices t of its terms in ``boundary``, in order."""
+        terms = list(enumerate(self.boundary))
+        return {fn: [t for t, term in terms if term.function == fn] for fn in range(self.n_functions)}
+
+    @functools.cached_property
     def reference_values(self) -> tuple[np.ndarray, ...]:
         """Each function's reference solution on the grid, evaluated once."""
         return tuple(f(self.grid.points) for f in self.analytic)
@@ -358,12 +364,9 @@ def gather_values(problem: DEProblem, trial_models, params_list):
         for mode in problem.all_modes:
             F[(fn, mode)] = model.values(params, grid_idx, mode)
     bc_values = np.zeros(len(problem.boundary))
-    for fn in range(problem.n_functions):
-        idx = [m + t for t, term in enumerate(problem.boundary) if term.function == fn]
-        if idx:
-            vals = trial_models[fn].values(params_list[fn], np.array(idx), ())
-            for pos, t in enumerate(idx):
-                bc_values[t - m] = vals[pos]
+    for fn, terms in problem.boundary_rows.items():
+        if terms:
+            bc_values[terms] = trial_models[fn].values(params_list[fn], m + np.array(terms), ())
     return F, bc_values
 
 

@@ -80,7 +80,7 @@ def apply_rotation_batch(amps, n, q, axis, angles):
         phase += c
         amps *= phase
         return
-    partner = amps[:, flip]
+    partner = amps.take(flip, axis=1)
     if axis == "X":
         partner *= -1j * s
     elif c.ndim == 0:
@@ -135,7 +135,7 @@ def apply_cnot_batch(amps, n, control, target):
     _check_qubit(n, target)
     if control == target:
         raise ConfigurationError("CNOT control and target must differ")
-    amps[:] = amps[:, _cnot_table(n, control, target)]
+    amps[:] = amps.take(_cnot_table(n, control, target), axis=1)
 
 
 def pauli_action(letters: str):

@@ -144,7 +144,7 @@ def loss_gradients(problem, trial_models, params_list):
         for mode in problem.jacobian_modes[fn]:
             jac = model.jacobian(params, grid_idx, mode)
             grad += dl_df[(fn, mode)] @ jac
-        terms = [t for t, term in enumerate(problem.boundary) if term.function == fn]
+        terms = problem.boundary_rows[fn]
         if terms:
             targets = np.array([problem.boundary[t].target for t in terms])
             jac = model.jacobian(params, m + np.array(terms), ())
@@ -276,7 +276,7 @@ def expected_charges(problem, trial_models=(), to_table=None) -> dict:
         # residual couples to and at the boundary points
         m, enc = problem.grid.size, model.enc_by_dim
         runs = {mode: m * runs_per_point(enc, mode) for mode in problem.all_modes}
-        n_bc = sum(1 for t in problem.boundary if t.function == fn)
+        n_bc = len(problem.boundary_rows[fn])
         per_epoch += sum(runs.values()) + n_bc * (1 + pair_runs)
         per_epoch += pair_runs * sum(runs[mode] for mode in problem.jacobian_modes[fn])
     return {"precompute": precompute, "per_epoch": per_epoch}

@@ -31,6 +31,11 @@ def test_split_tower_feature_map():
         circuits.split_tower_feature_map(5, ("x0", "x1"))
 
 
+def test_tower_feature_map_is_the_split_tower_over_one_input():
+    for n in range(1, 7):
+        assert circuits.tower_feature_map(n, "x0") == circuits.split_tower_feature_map(n, ("x0",))
+
+
 def test_hea_structure():
     circuit = circuits.hea(3, 2)
     assert len(circuit.variational_params) == 3 * 3 * 2

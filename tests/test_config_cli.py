@@ -1,12 +1,17 @@
 """Configuration round-tripping and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dqsolve
 from dqsolve import cli, problems
 from dqsolve.config import (
     BASES,
@@ -220,6 +225,27 @@ def test_invalid_config_exit_code(tmp_path):
     assert run_cli("run", "--config", missing, "--out", str(tmp_path / "s")) == cli.EXIT_CONFIG
     assert run_cli("count", "--config", missing) == cli.EXIT_CONFIG
     assert run_cli("count", "--config", str(tmp_path)) == cli.EXIT_CONFIG   # a directory
+
+
+def test_a_run_too_large_for_memory_exits_2(tmp_path):
+    """A run whose arrays do not fit ends as a configuration error, not a
+    traceback.  The address-space limit is set in the child process only."""
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**29   # 1.5 GiB
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(dqsolve.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "dqsolve.cli", "run", "--problem", "twod_linear",
+         "--variant", "original", "--grid-m", "1000", "--epochs", "1", "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr
+    assert out.stderr.startswith("configuration error: the run does not fit in memory: ")
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -538,6 +538,55 @@ def test_jet_terms_list_each_pair_once():
             assert len(pairs) == len(set(pairs)), mode
 
 
+def test_term_jets_list_each_jet_once_in_first_use_order():
+    for order in range(3):
+        for mode in itertools.product(range(2), repeat=order):
+            used = [jet for _w, u, v in models.jet_terms(mode) for jet in (u, v)]
+            jets = models.term_jets(mode)
+            assert len(jets) == len(set(jets)) and set(jets) == set(used), mode
+            assert [used.index(jet) for jet in jets] == sorted(used.index(jet) for jet in jets), mode
+    assert models.term_jets((0, 1)) == [(0, 1), (), (0,), (1,)]
+    assert models.term_jets((1, 1)) == [(1, 1), (), (1,)]
+
+
+@pytest.mark.parametrize("problem_name", list(problems.PROBLEMS))
+def test_read_jet_terms_on_the_cost_is_the_row_form_sum(problem_name):
+    """On the ``diagonal_table`` cost, the term reader gives the sum the row
+    form read before it used the reader, from C psi kept per jet, bit for bit."""
+    problem = problems.PROBLEMS[problem_name](4)
+    model = models.OriginalModel(4, 2, problem.eval_points)
+    theta = model.init_params(np.random.default_rng(5))[:-2]
+    n_pts = len(model.eval_points)
+    bindings = model._bindings(model.eval_points, theta)
+    dims = range(problem.dimension)
+    modes = set(problem.all_modes) | {(d,) for d in dims} | set(itertools.product(dims, repeat=2))
+    for mode in sorted(modes, key=lambda t: (len(t), t)):
+        jets = models.term_jets(mode)
+        amps = models.jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, jets)
+        lam = model.cost[1] * amps
+        rows = {jet: amps[j * n_pts : (j + 1) * n_pts] for j, jet in enumerate(jets)}
+        costates = {jet: lam[j * n_pts : (j + 1) * n_pts] for j, jet in enumerate(jets)}
+        expected = sum(
+            w * np.einsum("bi,bi->b", np.conj(rows[u]), costates[v]).real
+            for w, u, v in models.jet_terms(mode)
+        )
+        got = models.read_jet_terms(rows, mode, model.cost)
+        assert got.shape == (1, n_pts)
+        assert np.array_equal(got[0], expected), mode
+
+
+def test_row_form_keeps_one_state_array_per_jet():
+    problem = problems.stationary_burgers(8)
+    model = models.OriginalModel(4, 1, problem.eval_points)
+    assert type(model.form) is models.RowForm
+    training.loss_gradients(problem, [model], [model.init_params(np.random.default_rng(2))])
+    jets = model.form._jets
+    assert list(jets) == [(), (0,), (0, 0)]
+    for jet, states in jets.items():
+        assert type(states) is np.ndarray, jet
+        assert states.shape == (len(problem.eval_points), 2**4), jet
+
+
 def test_models_read_a_grid_slice_as_the_grid_indices():
     problem = problems.stationary_burgers(4)
     m = problem.grid.size

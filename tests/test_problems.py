@@ -286,3 +286,9 @@ def test_building_burgers_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_boundary_rows_map_each_function_to_its_terms():
+    assert problems.coupled_oscillators().boundary_rows == {0: [0], 1: [1]}
+    assert problems.twod_linear().boundary_rows == {0: list(range(20))}
+    assert problems.stationary_burgers().boundary_rows == {0: [0, 1]}
