@@ -13,7 +13,7 @@ import sys
 import time
 
 from dqsolve import cli, problems
-from dqsolve.config import ConfigurationError, apply_overrides, default_config
+from dqsolve.config import ConfigurationError
 
 DEFAULT_PROBLEMS = list(problems.PROBLEMS)
 DEFAULT_MODELS = ["original", "to-loc2", "fs-exact"]
@@ -36,12 +36,8 @@ def main():
     try:
         for problem_name in args.problems:
             for spec in args.models:
-                variant, extra = cli.parse_model_spec(spec)
-                overrides = dict(extra, seed=args.seed)
-                if args.epochs is not None:
-                    overrides["epochs"] = args.epochs
-                overrides["out_dir"] = str(pathlib.Path(args.out) / problem_name / spec)
-                config = apply_overrides(default_config(problem_name, variant), overrides)
+                out_dir = str(pathlib.Path(args.out) / problem_name / spec)
+                config = cli.spec_config(problem_name, spec, args.epochs, seed=args.seed, out_dir=out_dir)
                 runs.append((problem_name, spec, config))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

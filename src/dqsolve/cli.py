@@ -278,46 +278,45 @@ def parse_model_spec(spec: str) -> tuple[str, dict]:
     return variant, {keys[variant]: suffix[0]} if suffix else {}
 
 
+def spec_config(problem: str, spec: str, epochs: int | None, **overrides) -> RunConfig:
+    """One model spec's validated configuration on ``problem``: its variant's
+    defaults, the spec's suffix, an epoch cap unless None, then ``overrides``."""
+    variant, extra = parse_model_spec(spec)
+    cap = {} if epochs is None else {"epochs": epochs}
+    return apply_overrides(default_config(problem, variant), {**extra, **cap, **overrides})
+
+
 def cmd_compare(args) -> int:
     specs = args.models
     if len(specs) < 2:
         raise ConfigurationError("compare needs at least two model specs")
-    parsed = {spec: parse_model_spec(spec) for spec in specs}  # refuse a bad spec before training
     out = Path(args.out_dir)
+    configs = {spec: spec_config(args.problem, spec, args.epochs, seed=args.seed, out_dir=str(out / spec))
+               for spec in specs}   # refuse any bad configuration before training
     out.mkdir(parents=True, exist_ok=True)
     merged = ["model,epoch,loss,mos,cum_evals"]
     totals = {}
     d_max = 0
-    finals = {}
-    for spec, (variant, overrides) in parsed.items():
-        config = default_config(args.problem, variant)
-        overrides["seed"] = args.seed
-        overrides["out_dir"] = str(out / spec)
-        if args.epochs is not None:
-            overrides["epochs"] = args.epochs
-        config = apply_overrides(config, overrides)
+    for spec, config in configs.items():
         problem, trial_models, trace, counter = execute(config)
         write_run_artifacts(config, problem, trial_models, trace, counter)
         for r in trace.records:
             merged.append(f"{spec},{r.epoch},{_fmt(r.loss)},{_fmt(r.mos)},{r.cum_evals}")
         totals[spec] = counter.total
-        finals[spec] = trace.records[-1]
-        if variant == "to":
+        final = trace.records[-1]
+        if config.variant == "to":
             d_max = max(d_max, trial_models[0].table.n_observables)
-        print(f"{spec}: epochs={len(trace.records)} loss={finals[spec].loss:.3e} "
-              f"mos={finals[spec].mos:.3e} evals={counter.total}")
+        print(f"{spec}: epochs={len(trace.records)} loss={final.loss:.3e} "
+              f"mos={final.mos:.3e} evals={counter.total}")
     (out / "merged.csv").write_text("\n".join(merged) + "\n")
     report = [f"problem: {args.problem}", f"seed: {args.seed}"]
     if d_max:
         report.append(f"d_max (largest trainable-observable candidate set): {d_max}")
-    baseline = next((s for s in specs if s.split('-')[0] == "original"), None)
-    if baseline:
-        for spec in specs:
-            if spec == baseline:
-                continue
-            ratio = totals[baseline] / max(1, totals[spec])
-            report.append(f"saving ratio {baseline}/{spec}: {ratio:.2f}")
-            print(f"saving ratio {baseline}/{spec}: {ratio:.2f}")
+    baseline = next((s for s in specs if configs[s].variant == "original"), None)
+    for spec in [s for s in specs if baseline and s != baseline]:
+        ratio = totals[baseline] / max(1, totals[spec])
+        report.append(f"saving ratio {baseline}/{spec}: {ratio:.2f}")
+        print(report[-1])
     (out / "report.txt").write_text("\n".join(report) + "\n")
     return EXIT_OK
 

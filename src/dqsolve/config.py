@@ -121,7 +121,7 @@ def _parse_value(name: str, raw: str):
 
 
 def config_from_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # literal values: a % too
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -137,7 +137,7 @@ def config_from_text(text: str) -> RunConfig:
 
 
 def config_to_text(config: RunConfig) -> str:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # literal values: a % too
     parser["run"] = {}
     for f in fields(RunConfig):
         value = getattr(config, f.name)

@@ -8,8 +8,8 @@ Every model exposes:
   slice (a slice reads the model's tables without copying them);
 * ``jacobian(params, idx, mode)`` -> derivative of those values with respect
   to every parameter;
-* optionally ``begin_epoch(params, rng, need_grad)`` for models whose
-  quantum data is gathered once per epoch.
+* on the flipped model, ``begin_epoch(params, rng, need_grad)``, which gathers
+  its quantum data once per epoch; the model reads only what it gathered.
 
 A ``mode`` is a tuple of input-dimension indices: () is the plain value,
 (0,) is d/dx0, (0, 0) the second derivative, (1,) is d/dx1 for 2D inputs.
@@ -100,20 +100,20 @@ def _monomial_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
 _BASIS_1D = {"chebyshev": _chebyshev_jet, "monomial": _monomial_jet}
 
 
-def graded_multi_indices(dimension: int, count: int) -> list[tuple[int, ...]]:
-    """The first ``count`` exponent tuples in graded order (total degree,
-    then earlier dimensions carrying higher powers first)."""
-    if dimension == 1:
-        return [(l,) for l in range(count)]
+@functools.lru_cache(maxsize=None)
+def _graded(dimension: int, count: int) -> tuple:
     found: list[tuple[int, ...]] = []
-    degree = 0
-    while len(found) < count:
-        for a in range(degree, -1, -1):
-            found.append((a, degree - a))
-            if len(found) == count:
-                break
-        degree += 1
-    return found
+    for degree in itertools.count():
+        tuples = (t for t in itertools.product(range(degree + 1), repeat=dimension) if sum(t) == degree)
+        found += sorted(tuples, reverse=True)
+        if len(found) >= count:
+            return tuple(found[:count])
+
+
+def graded_multi_indices(dimension: int, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` exponent tuples of any dimension, by total degree,
+    then in descending lexicographic order; built once per (dimension, count)."""
+    return list(_graded(dimension, count))
 
 
 def basis_matrix(u: np.ndarray, count: int, kind: str, max_order: int) -> dict:
@@ -821,10 +821,10 @@ class FlippedModel:
     variational state, with C(u) a 1-local Pauli sum weighted by basis
     functions of u.
 
-    Per epoch it gathers the Pauli expectations of the ansatz state (and of
-    its parameter-shifted companions when gradients are needed) once; all
-    per-point work is classical.  Charges one shadow-budget's worth of state
-    preparations per gathered state, in exact and shadow mode alike.
+    ``begin_epoch`` gathers the Pauli expectations of the ansatz state (and of
+    its parameter-shifted companions for gradients) once per epoch, and the
+    other methods read only that gather: all per-point work is classical.
+    Charges M state preparations per gathered state, in both modes alike.
 
     The gathered expectations are one (1 + 2p, n_basis) array, one row when no
     gradient is needed: row 0 is the ansatz state, rows 1 + 2k and 2 + 2k its
@@ -903,7 +903,7 @@ class FlippedModel:
 
     # -- quantum data ------------------------------------------------------
 
-    def begin_epoch(self, params, rng: np.random.Generator, need_grad: bool = True, phase=PHASE_EPOCH):
+    def begin_epoch(self, params, rng: np.random.Generator, need_grad: bool = True):
         """Gather <P_l> for the current state and its shifted companions.
 
         All 1 + 2p states run as one batch, one shift array per shifted gate;
@@ -919,12 +919,11 @@ class FlippedModel:
         else:
             shadow = shadows.collect(amps, self.snapshots, rng)
             self._exps = shadows.estimate_pauli(shadow, self.pauli_set, self.n_batches)
-        _charge(self.counter, batch * self.snapshots, phase)
+        _charge(self.counter, batch * self.snapshots, PHASE_EPOCH)
 
-    def _gathered(self, params, need_grad, rng=None, phase=PHASE_EPOCH):
+    def _gathered(self, need_grad):
         if self._exps is None or (need_grad and len(self._exps) == 1):
-            # standalone use outside a training loop: gather on demand
-            self.begin_epoch(params, rng or np.random.default_rng(0), need_grad, phase)
+            raise RuntimeError("call begin_epoch first (with need_grad=True before a Jacobian)")
         return self._exps
 
     # -- classical evaluation ---------------------------------------------
@@ -958,16 +957,16 @@ class FlippedModel:
             out = out + params[-1]
         return out
 
-    def values(self, params, idx, mode=(), rng=None):
+    def values(self, params, idx, mode=()):
         mode = tuple(mode)
-        exps = self._gathered(params, False, rng)[0]
+        exps = self._gathered(False)[0]
         return self._combine(params, self._basis(params, idx, mode), mode, exps)
 
-    def jacobian(self, params, idx, mode=(), rng=None):
+    def jacobian(self, params, idx, mode=()):
         mode = tuple(mode)
         points = self.eval_points[idx]
         a_out, a_in = params[-4], params[-3]
-        gathered = self._gathered(params, True, rng)
+        gathered = self._gathered(True)
         exps = gathered[0]
         j = len(mode)
         basis = self._basis(params, idx, mode)
@@ -992,10 +991,10 @@ class FlippedModel:
             jac[:, n_rot + 3] = 1.0  # alpha_offset
         return jac
 
-    def values_at(self, params, points, mode=(), rng=None):
+    def values_at(self, params, points, mode=()):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         mode = tuple(mode)
-        exps = self._gathered(params, False, rng, PHASE_INFERENCE)[0]
+        exps = self._gathered(False)[0]   # ROADMAP item 1: stale, and charged nothing
         # off the evaluation points: a jet of its own, up to the mode's order
         u = self._mapped(params, points)
         basis = basis_matrix(u, self.n_basis, self.basis, len(mode))[self._dorders(mode)]

@@ -336,3 +336,41 @@ def test_compare_rejects_a_spec_with_extra_suffixes(tmp_path, spec):
     assert run_cli("compare", "--problem", "damped_osc", "--models", "to-loc1", spec,
                    "--epochs", "2", "--out", str(out)) == cli.EXIT_CONFIG
     assert not out.exists()  # refused before the first member trains
+
+
+def test_a_percent_in_out_dir_round_trips_and_runs(tmp_path):
+    config = RunConfig(out_dir="runs/50%")
+    text = config_to_text(config)
+    assert config_from_text(text) == config
+    assert config_to_text(config_from_text(text)) == text
+    out = tmp_path / "50%"
+    assert run_cli("run", "--problem", "damped_osc", "--variant", "to", "--obs", "loc1",
+                   "--epochs", "2", "--out", str(out)) == 0
+    assert "50%" in (out / "config.ini").read_text()
+    trace = (out / "trace.csv").read_bytes()
+    assert run_cli("run", "--config", str(out / "config.ini")) == 0
+    assert (out / "trace.csv").read_bytes() == trace
+
+
+def test_compare_refuses_a_bad_configuration_before_training(tmp_path):
+    out = tmp_path / "c"
+    assert run_cli("compare", "--problem", "damped_osc", "--models", "original", "fs-bogus",
+                   "--epochs", "3", "--out", str(out)) == cli.EXIT_CONFIG
+    assert not (out / "original").exists() and not out.exists()
+
+
+def test_a_run_seeds_every_generator_from_its_config(tmp_path, monkeypatch):
+    """No fixed-seed generator hides in a run: every one is seeded by
+    ``seed`` or ``ub_seed``."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        seeds.append(args[0] if args else kwargs.get("seed"))
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for flags in (["original"], ["to", "--obs", "loc1"], ["fs", "--fs-mode", "shadow"]):
+        assert run_cli("run", "--problem", "damped_osc", "--variant", *flags, "--epochs", "2",
+                       "--seed", "5", "--ub-seed", "7", "--out", str(tmp_path / flags[0])) == 0
+    assert set(seeds) == {5, 7}

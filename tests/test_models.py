@@ -116,6 +116,14 @@ def test_graded_multi_indices():
     assert models.graded_multi_indices(2, 6) == [
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
     ]
+    assert models.graded_multi_indices(3, 10) == [
+        (0, 0, 0),
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
+    ]
+    # the tuples are built once; a caller's edit of its list does not reach the next call
+    models.graded_multi_indices(3, 4).clear()
+    assert len(models.graded_multi_indices(3, 4)) == 4
 
 
 def test_basis_matrix_product_rule():
@@ -147,6 +155,28 @@ def test_basis_jet_matches_the_per_order_reference(kind, dim, count, max_order):
 def test_basis_jet_rejects_an_unknown_kind():
     with pytest.raises(ValueError):
         models.basis_matrix(np.zeros((3, 1)), 4, "wavelets", 1)
+
+
+def reference_graded_multi_indices(dimension, count):
+    """The graded order as it was written for one and two dimensions only."""
+    if dimension == 1:
+        return [(l,) for l in range(count)]
+    found = []
+    degree = 0
+    while len(found) < count:
+        for a in range(degree, -1, -1):
+            found.append((a, degree - a))
+            if len(found) == count:
+                break
+        degree += 1
+    return found
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_graded_multi_indices_keep_their_order_in_one_and_two_dimensions(dimension):
+    for count in range(1, 81):
+        got = models.graded_multi_indices(dimension, count)
+        assert type(got) is list and got == reference_graded_multi_indices(dimension, count), count
 
 
 # ---------------------------------------------------------------------------
@@ -798,9 +828,9 @@ def test_flipped_jacobian_matches_finite_differences():
     model = models.FlippedModel(4, 1, EVAL_POINTS_1D, basis="chebyshev", mode="exact")
     rng = np.random.default_rng(2)
     params = model.init_params(rng)
-    model.begin_epoch(params, rng, need_grad=True)
     idx = np.arange(4)
     for mode in [(), (0,)]:
+        model.begin_epoch(params, rng, need_grad=True)
         jac = model.jacobian(params, idx, mode)
         h = 1e-6
         for k in range(model.n_params):
@@ -828,14 +858,20 @@ def test_flipped_epoch_charges():
     assert counter.total == (1 + 2 * n_rot) * model.snapshots
     model.begin_epoch(params, np.random.default_rng(1), need_grad=False)
     assert counter.total == (1 + 2 * n_rot) * model.snapshots + model.snapshots
-    # a standalone Jacobian gathers every state once, with nothing gathered
-    # before it or only the state
-    for gather_first in (False, True):
-        fresh = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="exact", counter=EvalCounter())
-        if gather_first:
-            fresh.begin_epoch(params, np.random.default_rng(1), need_grad=False)
-        fresh.jacobian(params, np.arange(3))
-        assert fresh.counter.total == (1 + 2 * n_rot + gather_first) * model.snapshots
+    # only begin_epoch gathers: a read it has not gathered for is refused and
+    # charges nothing; a value-only gather serves values and inference only
+    fresh = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="exact", counter=EvalCounter())
+    idx = np.arange(3)
+    reads = (fresh.values, fresh.jacobian, lambda params, _idx: fresh.values_at(params, EVAL_POINTS_1D))
+    for read in reads:
+        with pytest.raises(RuntimeError, match="begin_epoch"):
+            read(params, idx)
+    fresh.begin_epoch(params, np.random.default_rng(1), need_grad=False)
+    fresh.values(params, idx)
+    fresh.values_at(params, EVAL_POINTS_1D)
+    with pytest.raises(RuntimeError, match="need_grad=True"):
+        fresh.jacobian(params, idx)
+    assert fresh.counter.total == fresh.counter.breakdown["per_epoch"] == model.snapshots
 
 
 @pytest.mark.parametrize("mode", ["exact", "shadow"])
@@ -1027,6 +1063,19 @@ def test_flipped_model_keeps_its_own_evaluation_points():
     assert np.array_equal(model.values(params, np.arange(5), (0,)), before)
     with pytest.raises(ValueError):
         model.eval_points[0, 0] = 0.0
+
+
+def test_flipped_model_runs_on_three_dimensional_points():
+    points = np.random.default_rng(6).uniform(0.0, 1.0, (5, 3))
+    model = models.FlippedModel(2, 1, points, mode="exact")
+    params = model.init_params(np.random.default_rng(0))
+    model.begin_epoch(params, np.random.default_rng(1))
+    for mode in [(), (0,), (2,)]:
+        values = model.values(params, np.arange(5), mode)
+        jac = model.jacobian(params, np.arange(5), mode)
+        assert values.shape == (5,) and np.all(np.isfinite(values)), mode
+        assert jac.shape == (5, model.n_params) and np.all(np.isfinite(jac)), mode
+    assert np.array_equal(model.values_at(params, points, ()), model.values(params, np.arange(5)))
 
 
 def test_flipped_rejects_unknown_modes():

@@ -1,6 +1,7 @@
 """Benchmark problems, grids, loss and the success metric."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -174,6 +175,29 @@ def test_jacobian_modes_are_the_residual_couplings():
         assert {fn: set(m) for fn, m in found.items()} == modes
         # sorted by (order, mode): the order loss_gradients evaluates them in
         assert all(list(m) == sorted(m, key=lambda t: (len(t), t)) for m in found.values())
+
+
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
+def test_residual_partials_are_the_complex_step_derivatives(name):
+    """Each hand-written partial is Im r(F + i h e_key) / h, bit for bit: the
+    complex step is exact for residuals at most quadratic in F.  A pair with
+    no partial has an identically zero derivative."""
+    problem = problems.PROBLEMS[name](5)
+    points = problem.grid.points
+    rng = np.random.default_rng(len(name))
+    keys = list(itertools.product(range(problem.n_functions), problem.all_modes))
+    F = {key: rng.normal(size=len(points)) for key in keys}
+    partials = problem.residual_partials(points, F)
+    h = 2.0**-30
+    n_eq = len(problem.residual(points, F))
+    assert set(partials) <= {(eq, fn, mode) for eq in range(n_eq) for fn, mode in keys}
+    for fn, mode in keys:
+        stepped = {key: value.astype(np.complex128) for key, value in F.items()}
+        stepped[fn, mode] = F[fn, mode] + 1j * h
+        derivative = problem.residual(points, stepped).imag / h
+        for eq in range(n_eq):
+            want = partials.get((eq, fn, mode), np.zeros(len(points)))
+            assert np.array_equal(derivative[eq], want), (eq, fn, mode)
 
 
 def test_reference_values_are_evaluated_once():
