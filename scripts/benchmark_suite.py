@@ -31,7 +31,7 @@ def main():
     parser.add_argument("--out", default="runs/benchmarks")
     args = parser.parse_args()
 
-    # validate every configuration before training any of them
+    # validate every configuration and output directory before training any run
     runs = []
     try:
         for problem_name in args.problems:
@@ -39,6 +39,8 @@ def main():
                 out_dir = str(pathlib.Path(args.out) / problem_name / spec)
                 config = cli.spec_config(problem_name, spec, args.epochs, seed=args.seed, out_dir=out_dir)
                 runs.append((problem_name, spec, config))
+        for *_, config in runs:
+            cli.make_out_dir(config.out_dir)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return cli.EXIT_CONFIG

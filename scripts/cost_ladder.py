@@ -8,7 +8,10 @@ benchmark and records instrumented totals for the three model families:
 * trainable observable     -- total is the precompute alone, epoch-independent
 * flipped (shadow-budget)  -- per-epoch charge scales with log2(grid size)
 
-Writes one CSV per family under --out and prints the least-squares fits.
+Every run goes through the command line's validated run path
+(``cli.spec_config`` then ``cli.execute``) with early stopping off, so each
+trains exactly the epochs asked for.  Writes one CSV per family under --out
+and prints the least-squares fits.
 """
 
 import argparse
@@ -17,7 +20,7 @@ import pathlib
 
 import numpy as np
 
-from dqsolve import models, pauli, problems, training
+from dqsolve import cli
 
 
 def fit_r2(x, y):
@@ -28,53 +31,38 @@ def fit_r2(x, y):
     return slope, intercept, 1.0 - ss_res / ss_tot
 
 
+def run(spec, epochs, m, seed, **overrides):
+    """Train one damped-oscillator model on an m-point grid for exactly
+    ``epochs`` epochs; returns (problem, trial models, trace, counter)."""
+    config = cli.spec_config("damped_osc", spec, epochs, grid_m=m, seed=seed, stop_loss=0.0,
+                             patience=epochs + 1, **overrides)
+    return cli.execute(config)
+
+
 def sweep_original(epoch_grid, m_grid, seed):
     rows = []
     for epochs in epoch_grid:
         for m in m_grid:
-            problem = problems.damped_oscillator(m=m)
-            counter = training.EvalCounter()
-            model = models.OriginalModel(4, 1, problem.eval_points, counter=counter)
-            training.train(
-                problem, [model],
-                {"epochs": epochs, "lr": 0.05, "stop_loss": None},
-                np.random.default_rng(seed), counter=counter,
-            )
+            *_, counter = run("original", epochs, m, seed, depth=1)
             rows.append((epochs, m, epochs * m, counter.total))
     return rows
 
 
 def sweep_to(epoch_grid, m_grid, seed):
     rows = []
-    strings = pauli.enumerate_k_local(4, 2)
     for epochs in epoch_grid:
         for m in m_grid:
-            problem = problems.damped_oscillator(m=m)
-            counter = training.EvalCounter()
-            table = models.precompute_to_table(
-                problem.eval_points, problem.all_modes, strings, 4, counter=counter
-            )
-            training.train(
-                problem, [models.TOModel(table, counter=counter)],
-                {"epochs": epochs, "lr": 0.05, "stop_loss": None},
-                np.random.default_rng(seed), counter=counter,
-            )
-            rows.append((epochs, m, len(strings) * problem.eval_points.shape[0], counter.total))
+            problem, trial_models, _, counter = run("to-loc2", epochs, m, seed)
+            d = trial_models[0].table.n_observables
+            rows.append((epochs, m, d * problem.eval_points.shape[0], counter.total))
     return rows
 
 
 def sweep_fs(m_grid, seed):
     rows = []
     for m in m_grid:
-        problem = problems.damped_oscillator(m=m)
-        counter = training.EvalCounter()
-        model = models.FlippedModel(4, 1, problem.eval_points, mode="exact", counter=counter)
-        training.train(
-            problem, [model], {"epochs": 2, "lr": 0.05, "stop_loss": None},
-            np.random.default_rng(seed), counter=counter,
-        )
-        n_pts = problem.eval_points.shape[0]
-        rows.append((m, n_pts, model.snapshots, counter.total // 2))
+        problem, trial_models, _, counter = run("fs-exact", 2, m, seed, depth=1)
+        rows.append((m, problem.eval_points.shape[0], trial_models[0].snapshots, counter.total // 2))
     return rows
 
 

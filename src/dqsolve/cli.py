@@ -128,8 +128,6 @@ def execute(config: RunConfig):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return f"{float(value):.17g}"
 
 
@@ -224,9 +222,18 @@ def loss_chart_svg(trace: training.TrainTrace) -> str:
     return "\n".join(parts) + "\n"
 
 
+def make_out_dir(path) -> Path:
+    """Create an output directory; a path that cannot be one is a configuration error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory: {exc}") from exc
+    return out
+
+
 def write_run_artifacts(config: RunConfig, problem, trial_models, trace, counter) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(config.out_dir)
     (out / "trace.csv").write_text(trace_csv(trace))
     (out / "solution.csv").write_text(solution_csv(problem, trial_models, trace))
     (out / "summary.json").write_text(
@@ -251,14 +258,14 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         base = load_config(args.config)
     else:
-        problem = overrides.get("problem", "damped_osc")
-        variant = overrides.get("variant", "to")
-        base = default_config(problem, variant)
+        base = default_config(overrides.get("problem", RunConfig.problem),
+                              overrides.get("variant", RunConfig.variant))
     return apply_overrides(base, overrides)
 
 
 def cmd_run(args) -> int:
     config = _resolve_config(args)
+    make_out_dir(config.out_dir)   # refuse an unusable --out before training
     problem, trial_models, trace, counter = execute(config)
     out = write_run_artifacts(config, problem, trial_models, trace, counter)
     final = trace.records[-1]
@@ -290,10 +297,16 @@ def cmd_compare(args) -> int:
     specs = args.models
     if len(specs) < 2:
         raise ConfigurationError("compare needs at least two model specs")
+    repeated = sorted({spec for spec in specs if specs.count(spec) > 1})
+    if repeated:
+        raise ConfigurationError(f"compare got a model spec more than once: {', '.join(repeated)}")
     out = Path(args.out_dir)
+    # refuse any bad configuration or unusable directory before training
     configs = {spec: spec_config(args.problem, spec, args.epochs, seed=args.seed, out_dir=str(out / spec))
-               for spec in specs}   # refuse any bad configuration before training
-    out.mkdir(parents=True, exist_ok=True)
+               for spec in specs}
+    make_out_dir(out)
+    for config in configs.values():
+        make_out_dir(config.out_dir)
     merged = ["model,epoch,loss,mos,cum_evals"]
     totals = {}
     d_max = 0

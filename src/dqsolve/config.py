@@ -164,19 +164,20 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     return dataclasses.replace(config, **overrides).validate()
 
 
-# per (problem, variant) defaults tuned so the stock runs converge; anything
-# can still be overridden from a file or the command line
+# per (problem, variant) defaults tuned so the stock runs converge, each
+# entry only where it differs from RunConfig's own default; anything can
+# still be overridden from a file or the command line
 _DEFAULTS = {
-    ("damped_osc", "original"): dict(depth=3, epochs=1500),
+    ("damped_osc", "original"): dict(epochs=1500),
     ("damped_osc", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("damped_osc", "fs"): dict(depth=3, epochs=2000, stop_loss=1e-7, patience=500),
-    ("burgers", "original"): dict(depth=3, epochs=1500),
+    ("damped_osc", "fs"): dict(stop_loss=1e-7, patience=500),
+    ("burgers", "original"): dict(epochs=1500),
     ("burgers", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("burgers", "fs"): dict(depth=3, epochs=2000, stop_loss=1e-7, patience=500),
-    ("coupled", "original"): dict(depth=3, epochs=1500),
+    ("burgers", "fs"): dict(stop_loss=1e-7, patience=500),
+    ("coupled", "original"): dict(epochs=1500),
     ("coupled", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("coupled", "fs"): dict(depth=3, epochs=2000, stop_loss=1e-7, patience=500),
-    ("twod_linear", "original"): dict(depth=3, epochs=3000, lr=0.08, stop_loss=1e-3, patience=2000),
+    ("coupled", "fs"): dict(stop_loss=1e-7, patience=500),
+    ("twod_linear", "original"): dict(epochs=3000, lr=0.08, stop_loss=1e-3, patience=2000),
     ("twod_linear", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
     ("twod_linear", "fs"): dict(depth=1, epochs=400, stop_loss=1e-3, patience=400),
 }

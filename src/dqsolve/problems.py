@@ -30,7 +30,6 @@ MAX_GRID_POINTS = 10**6
 @dataclass(frozen=True)
 class Grid:
     points: np.ndarray                 # (m, D)
-    counts: tuple[int, ...]
     bounds: tuple[tuple[float, float], ...]
 
     @property
@@ -51,7 +50,7 @@ def make_grid(counts, bounds) -> Grid:
         i = np.arange(c)
         axes.append(lo + (i + 1) * (hi - lo) / (c + 1))
     pts = np.array([p for p in product(*axes)], dtype=np.float64)
-    return Grid(pts, counts, bounds)
+    return Grid(pts, bounds)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ The accountant realizes each protocol's cost model:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .models import runs_per_point, to_charge
 
 class NumericalFailure(RuntimeError):
     """Raised when the loss or a gradient stops being finite."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
 
 
 class EvalCounter:
@@ -114,11 +110,12 @@ class EpochRecord:
 
 @dataclass
 class TrainTrace:
+    """What a run returns: one record per epoch, each model's final
+    parameters and the seed echoed from the config."""
+
     records: list[EpochRecord]
     final_params: list[np.ndarray]
-    config: dict
     seed: int
-    counter: dict = field(default_factory=dict)
 
 
 def loss_gradients(problem, trial_models, params_list):
@@ -162,13 +159,15 @@ def train(
 ) -> TrainTrace:
     """Run the epoch loop for any model variant.
 
-    ``config`` keys used here: epochs, lr, stop_loss (early-stop threshold),
-    patience (epochs without 1% relative improvement), seed (echoed).
-    Models whose quantum data is gathered per epoch expose ``begin_epoch``.
+    ``config`` keys: epochs, lr and stop_loss (early-stop threshold, or None)
+    are required; patience (epochs without 1% relative improvement) and seed
+    (echoed in the trace) default to ``RunConfig``'s 200 and 0.  Models whose
+    quantum data is gathered per epoch expose ``begin_epoch``.  A non-finite
+    loss or gradient raises ``NumericalFailure``.
     """
-    epochs = int(config.get("epochs", 1000))
-    lr = float(config.get("lr", 0.05))
-    stop_loss = config.get("stop_loss", 1e-6)
+    epochs = int(config["epochs"])
+    lr = float(config["lr"])
+    stop_loss = config["stop_loss"]
     patience = int(config.get("patience", 200))
 
     params_list = [m.init_params(rng) for m in trial_models]
@@ -182,16 +181,9 @@ def train(
             hook = getattr(model, "begin_epoch", None)
             if hook is not None:
                 hook(params_list[i], rng, need_grad=True)
-        try:
-            (total, l_de, l_bc), F, grads = loss_gradients(problem, trial_models, params_list)
-        except NumericalFailure as exc:
-            exc.trace = TrainTrace(records, params_list, dict(config), int(config.get("seed", 0)))
-            raise
+        (total, l_de, l_bc), F, grads = loss_gradients(problem, trial_models, params_list)
         if not np.isfinite(total):
-            raise NumericalFailure(
-                f"loss became non-finite at epoch {epoch}",
-                TrainTrace(records, params_list, dict(config), int(config.get("seed", 0))),
-            )
+            raise NumericalFailure(f"loss became non-finite at epoch {epoch}")
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -214,13 +206,7 @@ def train(
             if stale >= patience:
                 break
 
-    return TrainTrace(
-        records=records,
-        final_params=params_list,
-        config=dict(config),
-        seed=int(config.get("seed", 0)),
-        counter=counter.snapshot() if counter else {},
-    )
+    return TrainTrace(records=records, final_params=params_list, seed=int(config.get("seed", 0)))
 
 
 # ---------------------------------------------------------------------------

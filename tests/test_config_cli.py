@@ -227,6 +227,33 @@ def test_invalid_config_exit_code(tmp_path):
     assert run_cli("count", "--config", str(tmp_path)) == cli.EXIT_CONFIG   # a directory
 
 
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli("run", "--problem", "damped_osc", "--variant", "to", "--obs", "loc1",
+                   "--lr", "1e300", "--epochs", "5", "--out", str(out)) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: loss became non-finite at epoch 1\n"
+    assert not any(out.glob("*"))   # no artifacts of the failed run
+
+
+def test_an_unusable_out_dir_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli.training, "train", lambda *args, **kwargs: trained.append(args))
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    assert run_cli("run", "--problem", "damped_osc", "--variant", "to", "--obs", "loc1",
+                   "--epochs", "2", "--out", str(blocker / "x")) == cli.EXIT_CONFIG
+    assert run_cli("compare", "--problem", "damped_osc", "--models", "original", "to-loc1",
+                   "--epochs", "2", "--out", str(blocker / "y")) == cli.EXIT_CONFIG
+    # a member's directory is checked before the first member trains
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "to-loc1").write_text("")
+    assert run_cli("compare", "--problem", "damped_osc", "--models", "original", "to-loc1",
+                   "--epochs", "2", "--out", str(tmp_path / "c")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("configuration error: ") for line in err)
+    assert trained == []
+
+
 def test_a_run_too_large_for_memory_exits_2(tmp_path):
     """A run whose arrays do not fit ends as a configuration error, not a
     traceback.  The address-space limit is set in the child process only."""
@@ -317,6 +344,13 @@ def test_selftest_passes(capsys):
 def test_compare_requires_two_models(tmp_path):
     assert run_cli("compare", "--problem", "damped_osc", "--models", "original",
                    "--out", str(tmp_path / "c")) == cli.EXIT_CONFIG
+
+
+def test_compare_refuses_a_repeated_spec(tmp_path):
+    out = tmp_path / "c"
+    assert run_cli("compare", "--problem", "damped_osc", "--models", "original", "original",
+                   "--epochs", "2", "--out", str(out)) == cli.EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, expected", [

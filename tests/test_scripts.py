@@ -31,6 +31,14 @@ def test_benchmark_suite_writes_every_run(tmp_path):
         assert len((tmp_path / "damped_osc" / spec / "trace.csv").read_text().splitlines()) == 3
 
 
+def test_benchmark_suite_refuses_an_unusable_out_before_training(tmp_path):
+    (tmp_path / "f").write_text("")
+    out = run_script("benchmark_suite.py", "--problems", "damped_osc", "--models", "to-loc1",
+                     "--epochs", "2", "--out", str(tmp_path / "f" / "x"))
+    assert out.returncode == 2
+    assert out.stderr.startswith("configuration error: ") and out.stdout == ""
+
+
 def test_cost_ladder_writes_its_csvs(tmp_path):
     out = run_script("cost_ladder.py", "--epochs", "2", "--grids", "5", "10", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr
