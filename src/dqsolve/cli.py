@@ -338,26 +338,27 @@ def cmd_count(args) -> int:
     """Print the closed-form charges of a run; nothing is simulated."""
     config = _resolve_config(args)
     problem = build_problem(config)
-    print(f"{config.problem}/{config.variant} cost model:")
-    for phase, rule in training.counting_policy(config.variant).items():
-        print(f"  {phase}: {rule}")
+    lines = [f"{config.problem}/{config.variant} cost model:"]
+    lines += [f"  {phase}: {rule}" for phase, rule in training.counting_policy(config.variant).items()]
     if config.variant == "to":
         # the table's size and encoding gates, without measuring it
         d = len(observable_set(config))
         circuit = models.encoding_circuit(config.n_qubits, problem.dimension, config.ub_seed)
         enc = models._enc_by_dim(circuit, problem.dimension)
         charges = training.expected_charges(problem, to_table=(d, enc))
-        print(f"  candidate observables d: {d}")
+        lines.append(f"  candidate observables d: {d}")
     else:
         trial_models = build_models(config, problem, None)
         charges = training.expected_charges(problem, trial_models)
         if config.variant == "fs":
-            print(f"  snapshot budget M: {trial_models[0].snapshots}")
+            lines.append(f"  snapshot budget M: {trial_models[0].snapshots}")
     per_epoch = charges["per_epoch"]
-    print(f"  precompute charge: {charges['precompute']}")
-    print(f"  per-epoch charge at m={problem.grid.size}, "
-          f"summed over {problem.n_functions} function(s): {per_epoch}")
-    print(f"  {config.epochs} epochs: {charges['precompute'] + config.epochs * per_epoch}")
+    lines.append(f"  precompute charge: {charges['precompute']}")
+    lines.append(f"  per-epoch charge at m={problem.grid.size}, "
+                 f"summed over {problem.n_functions} function(s): {per_epoch}")
+    lines.append(f"  {config.epochs} epochs: {charges['precompute'] + config.epochs * per_epoch}")
+    # printed once every charge is known, so a refused configuration prints nothing
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -386,12 +387,9 @@ def cmd_selftest(args) -> int:
 
     for name, build in problems.PROBLEMS.items():
         problem = build()
-        F = {}
-        for fn in range(problem.n_functions):
-            for mode in problem.all_modes:
-                F[(fn, mode)] = problems.analytic_mode_values(problem, fn, mode)
-        res = problem.residual(problem.grid.points, F)
-        worst = np.abs(res).max()
+        F = {(fn, mode): problems.analytic_mode_values(problem, fn, mode)
+             for fn in range(problem.n_functions) for mode in problem.all_modes}
+        worst = np.abs(problem.residual(F)).max()
         ok = worst < 1e-9
         failures += not ok
         print(f"[{'ok' if ok else 'FAIL'}] {name} reference solution residual: {worst:.2e}")

@@ -7,16 +7,17 @@ grid; modes are input-derivative tuples as in :mod:`dqsolve.models`.
 Boundary conditions are separate loss terms at their own coordinates, so
 collocation grids stay strictly interior to the stated open domain.
 
-Every problem carries its reference solution and that solution's derivatives
-in closed form: the measure of success is the squared error against it, and
-residual checks evaluate the equation on it.
+A factory states a benchmark: its residual and partials, its boundary terms,
+its grid, and its reference solution with derivatives in closed form, which
+the measure of success and the residual checks compare against.  The rest,
+dimension, function count and derivative order among it, is derived.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -62,18 +63,30 @@ class BoundaryTerm:
 
 @dataclass(frozen=True)
 class DEProblem:
+    """A benchmark as its factory states it.  ``residual`` and
+    ``residual_partials`` read F on the grid their factory built them on, so
+    ``dataclasses.replace(problem, grid=...)`` is not supported."""
     name: str
-    dimension: int
-    n_functions: int
-    order: int                                  # max derivative order in the residual
     residual_modes: tuple[tuple[int, ...], ...]
-    residual: callable                          # (points, F) -> (n_eq, m)
-    residual_partials: callable                 # (points, F) -> {(eq, fn, mode): (m,)}
+    residual: callable                          # F -> (n_eq, m)
+    residual_partials: callable                 # F -> {(eq, fn, mode): (m,) or a number}
     boundary: tuple[BoundaryTerm, ...]
     grid: Grid
     analytic: tuple                             # one callable per function
     analytic_modes: dict                        # (fn, mode) -> callable, closed-form derivatives
-    notes: dict = field(default_factory=dict)
+
+    @property
+    def dimension(self) -> int:
+        return self.grid.points.shape[1]
+
+    @property
+    def n_functions(self) -> int:
+        return len(self.analytic)
+
+    @property
+    def order(self) -> int:
+        """The highest derivative order in the residual."""
+        return max(len(mode) for mode in self.residual_modes)
 
     @functools.cached_property
     def jacobian_modes(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -83,7 +96,7 @@ class DEProblem:
         values, so charges are deterministic."""
         fns = range(self.n_functions)
         probe = {key: np.zeros(self.grid.size) for key in product(fns, self.all_modes)}
-        partials = self.residual_partials(self.grid.points, probe)
+        partials = self.residual_partials(probe)
         modes = {fn: {mode for (_eq, f, mode) in partials if f == fn} for fn in fns}
         return {fn: tuple(sorted(s, key=lambda t: (len(t), t))) for fn, s in modes.items()}
 
@@ -94,17 +107,18 @@ class DEProblem:
         return {fn: [t for t, term in terms if term.function == fn] for fn in range(self.n_functions)}
 
     @functools.cached_property
+    def boundary_targets(self) -> np.ndarray:
+        """The target of every term in ``boundary``, in order."""
+        return np.array([t.target for t in self.boundary])
+
+    @functools.cached_property
     def reference_values(self) -> tuple[np.ndarray, ...]:
         """Each function's reference solution on the grid, evaluated once."""
         return tuple(f(self.grid.points) for f in self.analytic)
 
     @property
     def all_modes(self) -> tuple[tuple[int, ...], ...]:
-        modes = [()]
-        for m in self.residual_modes:
-            if m not in modes:
-                modes.append(m)
-        return tuple(modes)
+        return tuple(dict.fromkeys(((),) + self.residual_modes))
 
     @property
     def eval_points(self) -> np.ndarray:
@@ -128,23 +142,22 @@ def damped_oscillator(m: int = 20) -> DEProblem:
     def forcing(x):
         return kappa * np.exp(-kappa * x) * np.cos(lam * x) + lam * np.exp(-kappa * x) * np.sin(lam * x)
 
-    def residual(points, F):
-        x = points[:, 0]
-        return (F[(0, (0,))] + forcing(x))[None, :]
+    grid = make_grid((m,), ((0.0, 1.0),))
+    forcing_on_grid = forcing(grid.points[:, 0])
 
-    def partials(points, F):
-        return {(0, 0, (0,)): np.ones(points.shape[0])}
+    def residual(F):
+        return (F[(0, (0,))] + forcing_on_grid)[None, :]
+
+    def partials(F):
+        return {(0, 0, (0,)): 1.0}
 
     return DEProblem(
         name="damped_osc",
-        dimension=1,
-        n_functions=1,
-        order=1,
         residual_modes=((0,),),
         residual=residual,
         residual_partials=partials,
         boundary=(BoundaryTerm((0.0,), 0, 1.0),),
-        grid=make_grid((m,), ((0.0, 1.0),)),
+        grid=grid,
         analytic=(lambda pts: np.exp(-kappa * pts[:, 0]) * np.cos(lam * pts[:, 0]),),
         analytic_modes={(0, (0,)): lambda pts: -forcing(pts[:, 0])},
     )
@@ -221,21 +234,18 @@ def stationary_burgers(m: int = 20) -> DEProblem:
     def t_of(pts):
         return np.tanh(k * (pts[:, 0] - x0) / (2.0 * nu))
 
-    def residual(points, F):
+    def residual(F):
         return (F[(0, ())] * F[(0, (0,))] - nu * F[(0, (0, 0))])[None, :]
 
-    def partials(points, F):
+    def partials(F):
         return {
             (0, 0, ()): F[(0, (0,))],
             (0, 0, (0,)): F[(0, ())],
-            (0, 0, (0, 0)): np.full(points.shape[0], -nu),
+            (0, 0, (0, 0)): -nu,
         }
 
     return DEProblem(
         name="burgers",
-        dimension=1,
-        n_functions=1,
-        order=2,
         residual_modes=((), (0,), (0, 0)),
         residual=residual,
         residual_partials=partials,
@@ -249,7 +259,6 @@ def stationary_burgers(m: int = 20) -> DEProblem:
             (0, (0,)): lambda pts: -(k**2) * (1.0 - t_of(pts) ** 2) / (2.0 * nu),
             (0, (0, 0)): lambda pts: k**3 * t_of(pts) * (1.0 - t_of(pts) ** 2) / (2.0 * nu**2),
         },
-        notes={"poles": burgers_poles(), "reference": "closed form (smooth tanh branch)"},
     )
 
 
@@ -259,26 +268,21 @@ def coupled_oscillators(m: int = 20) -> DEProblem:
     omega = 3.0 * np.pi
     f0, g0 = 1.0, -1.0
 
-    def residual(points, F):
+    def residual(F):
         r1 = F[(0, (0,))] - omega * F[(1, ())]
         r2 = F[(1, (0,))] + omega * F[(0, ())]
         return np.stack([r1, r2], axis=0)
 
-    def partials(points, F):
-        m_pts = points.shape[0]
-        ones = np.ones(m_pts)
+    def partials(F):
         return {
-            (0, 0, (0,)): ones,
-            (0, 1, ()): np.full(m_pts, -omega),
-            (1, 1, (0,)): ones,
-            (1, 0, ()): np.full(m_pts, omega),
+            (0, 0, (0,)): 1.0,
+            (0, 1, ()): -omega,
+            (1, 1, (0,)): 1.0,
+            (1, 0, ()): omega,
         }
 
     return DEProblem(
         name="coupled",
-        dimension=1,
-        n_functions=2,
-        order=1,
         residual_modes=((), (0,)),
         residual=residual,
         residual_partials=partials,
@@ -303,21 +307,19 @@ def coupled_oscillators(m: int = 20) -> DEProblem:
 def twod_linear(m_per_dim: int = 20) -> DEProblem:
     """df/dy - 2y - x = 0 on (0,1)^2 with f(x,0)=1; solution y^2 + x*y + 1."""
 
-    def residual(points, F):
-        x, y = points[:, 0], points[:, 1]
-        return (F[(0, (1,))] - 2.0 * y - x)[None, :]
-
-    def partials(points, F):
-        return {(0, 0, (1,)): np.ones(points.shape[0])}
-
     grid = make_grid((m_per_dim, m_per_dim), ((0.0, 1.0), (0.0, 1.0)))
+    x, two_y = grid.points[:, 0], 2.0 * grid.points[:, 1]
+
+    def residual(F):
+        return (F[(0, (1,))] - two_y - x)[None, :]
+
+    def partials(F):
+        return {(0, 0, (1,)): 1.0}
+
     xs = sorted(set(grid.points[:, 0]))
     boundary = tuple(BoundaryTerm((float(x), 0.0), 0, 1.0) for x in xs)
     return DEProblem(
         name="twod_linear",
-        dimension=2,
-        n_functions=1,
-        order=1,
         residual_modes=((1,),),
         residual=residual,
         residual_partials=partials,
@@ -370,10 +372,9 @@ def gather_values(problem: DEProblem, trial_models, params_list):
 
 
 def loss_from_values(problem: DEProblem, F, bc_values):
-    residuals = problem.residual(problem.grid.points, F)
+    residuals = problem.residual(F)
     l_de = float(np.mean(residuals**2))
-    targets = np.array([t.target for t in problem.boundary])
-    l_bc = float(np.sum((bc_values - targets) ** 2))
+    l_bc = float(np.sum((bc_values - problem.boundary_targets) ** 2))
     return l_de + l_bc, l_de, l_bc
 
 

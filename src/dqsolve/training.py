@@ -126,8 +126,8 @@ def loss_gradients(problem, trial_models, params_list):
 
     m = problem.grid.size
     grid_idx = slice(0, m)  # a view of each model's grid rows, not a copy
-    residuals = problem.residual(problem.grid.points, F)
-    partials = problem.residual_partials(problem.grid.points, F)
+    residuals = problem.residual(F)
+    partials = problem.residual_partials(F)
     n_eq = residuals.shape[0]
 
     # dL/dF[(fn, mode)] over the grid
@@ -143,9 +143,8 @@ def loss_gradients(problem, trial_models, params_list):
             grad += dl_df[(fn, mode)] @ jac
         terms = problem.boundary_rows[fn]
         if terms:
-            targets = np.array([problem.boundary[t].target for t in terms])
             jac = model.jacobian(params, m + np.array(terms), ())
-            grad += (2.0 * (bc_values[terms] - targets)) @ jac
+            grad += (2.0 * (bc_values[terms] - problem.boundary_targets[terms])) @ jac
         grads.append(grad)
     return (total, l_de, l_bc), F, grads
 

@@ -333,6 +333,16 @@ def test_count_prints_cost_model(capsys):
     assert "per-epoch charge" in output
 
 
+def test_count_refuses_a_configuration_before_printing(capsys):
+    """A budget the flipped model refuses ends the command before its cost
+    model is printed, not after."""
+    assert run_cli("count", "--problem", "burgers", "--variant", "fs", "--fs-mode", "shadow",
+                   "--shadow-c0", "1e-9") == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+
+
 def test_selftest_passes(capsys):
     assert run_cli("selftest", "--seed", "0") == 0
     output = capsys.readouterr().out

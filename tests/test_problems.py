@@ -65,7 +65,7 @@ def test_analytic_solutions_satisfy_residual(name):
         for fn in range(problem.n_functions)
         for mode in problem.all_modes
     }
-    residual = problem.residual(problem.grid.points, F)
+    residual = problem.residual(F)
     assert np.abs(residual).max() < 1e-9
 
 
@@ -99,13 +99,10 @@ def test_burgers_pole_detected():
     k = np.sqrt(BURGERS_A / (2.0 * BURGERS_NU))
     assert poles[0] == pytest.approx(np.pi / (2 * k) - 0.5, abs=1e-12)
     assert poles[0] == pytest.approx(0.2025, abs=5e-4)
-    problem = problems.stationary_burgers()
-    assert problem.notes["poles"] == poles
 
 
 def test_burgers_reference_is_smooth_bvp_solution():
     problem = problems.stationary_burgers()
-    assert problem.notes["reference"] == "closed form (smooth tanh branch)"
     xs = problem.grid.points
     f = problem.analytic[0](xs)
     assert np.all(np.isfinite(f))
@@ -177,26 +174,54 @@ def test_jacobian_modes_are_the_residual_couplings():
         assert all(list(m) == sorted(m, key=lambda t: (len(t), t)) for m in found.values())
 
 
+def test_dimension_function_count_and_order_follow_from_the_statement():
+    expected = {
+        "damped_osc": ((1, 1, 1), ((), (0,))),
+        "burgers": ((1, 1, 2), ((), (0,), (0, 0))),
+        "coupled": ((1, 2, 1), ((), (0,))),
+        "twod_linear": ((2, 1, 1), ((), (1,))),
+    }
+    fields = {field.name for field in dataclasses.fields(problems.DEProblem)}
+    assert fields == {"name", "residual_modes", "residual", "residual_partials", "boundary",
+                      "grid", "analytic", "analytic_modes"}
+    for name, (derived, modes) in expected.items():
+        problem = problems.PROBLEMS[name](4)
+        assert (problem.dimension, problem.n_functions, problem.order) == derived
+        assert problem.all_modes == modes
+
+
+def test_residuals_take_f_alone_and_targets_are_cached():
+    problem = problems.coupled_oscillators(4)
+    F = {key: np.ones(4) for key in itertools.product(range(2), problem.all_modes)}
+    assert problem.residual(F).shape == (2, 4)
+    assert problem.residual_partials(F) == {
+        (0, 0, (0,)): 1.0, (0, 1, ()): -3.0 * np.pi, (1, 1, (0,)): 1.0, (1, 0, ()): 3.0 * np.pi,
+    }
+    assert np.array_equal(problem.boundary_targets, [1.0, -1.0])
+    assert problem.boundary_targets is problem.boundary_targets
+
+
 @pytest.mark.parametrize("name", list(problems.PROBLEMS))
 def test_residual_partials_are_the_complex_step_derivatives(name):
     """Each hand-written partial is Im r(F + i h e_key) / h, bit for bit: the
     complex step is exact for residuals at most quadratic in F.  A pair with
     no partial has an identically zero derivative."""
     problem = problems.PROBLEMS[name](5)
-    points = problem.grid.points
+    m = problem.grid.size
     rng = np.random.default_rng(len(name))
     keys = list(itertools.product(range(problem.n_functions), problem.all_modes))
-    F = {key: rng.normal(size=len(points)) for key in keys}
-    partials = problem.residual_partials(points, F)
+    F = {key: rng.normal(size=m) for key in keys}
+    partials = problem.residual_partials(F)
     h = 2.0**-30
-    n_eq = len(problem.residual(points, F))
+    n_eq = len(problem.residual(F))
     assert set(partials) <= {(eq, fn, mode) for eq in range(n_eq) for fn, mode in keys}
     for fn, mode in keys:
         stepped = {key: value.astype(np.complex128) for key, value in F.items()}
         stepped[fn, mode] = F[fn, mode] + 1j * h
-        derivative = problem.residual(points, stepped).imag / h
+        derivative = problem.residual(stepped).imag / h
         for eq in range(n_eq):
-            want = partials.get((eq, fn, mode), np.zeros(len(points)))
+            # a constant partial is a number: compared at every grid point
+            want = np.broadcast_to(partials.get((eq, fn, mode), 0.0), (m,))
             assert np.array_equal(derivative[eq], want), (eq, fn, mode)
 
 
@@ -230,7 +255,7 @@ class TableModel:
     def values(self, params, idx, mode=()):
         return self.arrays[tuple(mode)][idx]
 
-    def values_at(self, params, points, mode=(), phase=None):
+    def values_at(self, params, points, mode=()):
         raise NotImplementedError
 
     def jacobian(self, params, idx, mode=()):

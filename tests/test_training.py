@@ -230,3 +230,52 @@ def test_counting_policy_covers_all_variants():
         assert set(policy) == {"precompute", "per_epoch", "inference"}
     with pytest.raises(ValueError):
         counting_policy("analog")
+
+
+def gradient_case_models(case, problem):
+    """One 4-qubit trial model per function: the original model in its probe
+    or its row form, the trainable observable on the 1-local set, or the
+    exact flipped model."""
+    points, count = problem.eval_points, range(problem.n_functions)
+    if case in ("probe", "row"):
+        form = models.ProbeForm if case == "probe" else models.RowForm
+        trial = [models.OriginalModel(4, 1, points) for _ in count]
+        for model in trial:
+            model.form = form(model)
+        return trial
+    if case == "to-loc1":
+        table = models.precompute_to_table(points, problem.all_modes, pauli.enumerate_k_local(4, 1), 4)
+        return [models.TOModel(table) for _ in count]
+    return [models.FlippedModel(4, 1, points, mode="exact", max_order=problem.order) for _ in count]
+
+
+@pytest.mark.parametrize("case", ["probe", "row", "to-loc1", "fs-exact"])
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
+def test_loss_gradients_are_the_derivatives_of_the_reported_loss(name, case):
+    """Every gradient entry is a central difference of the total loss that
+    ``loss_gradients`` reports, through the residual partials, the boundary
+    targets and the model Jacobians."""
+    problem = problems.PROBLEMS[name](3 if name == "twod_linear" else 4)
+    trial = gradient_case_models(case, problem)
+    rng = np.random.default_rng(5)
+    params_list = [model.init_params(rng) for model in trial]
+
+    def loss_and_grads(params_list):
+        for model, params in zip(trial, params_list):
+            if isinstance(model, models.FlippedModel):
+                model.begin_epoch(params, rng, need_grad=True)
+        (total, _, _), _, grads = training.loss_gradients(problem, trial, params_list)
+        return total, grads
+
+    _, grads = loss_and_grads(params_list)
+    h = 1e-6
+    for fn, params in enumerate(params_list):
+        central = np.zeros(len(params))
+        for i in range(len(params)):
+            step = np.zeros(len(params))
+            step[i] = h
+            plus = [p + step if f == fn else p for f, p in enumerate(params_list)]
+            minus = [p - step if f == fn else p for f, p in enumerate(params_list)]
+            central[i] = (loss_and_grads(plus)[0] - loss_and_grads(minus)[0]) / (2 * h)
+        # an entry that vanishes is held to the gradient's scale instead
+        np.testing.assert_allclose(grads[fn], central, rtol=1e-5, atol=1e-5 * np.abs(central).max())
