@@ -360,7 +360,8 @@ def mode_expectations(
     strings (the trainable observable's labels) or a ``diagonal_table``
     (the original model's cost operator).  Exact jets compute every value:
     the ``term_jets`` of the mode run as one stacked batch (``jet_states``),
-    and ``read_jet_terms`` reads all d rows in one pass per term.
+    and ``read_jet_terms`` reads all d rows in one ``pauli_expectation_batch``
+    call per term, one partner gather per X-pattern.
     ``shift_rule`` only sets what the protocol is charged for them.
 
     Returns shape (d, batch).
@@ -698,7 +699,8 @@ def precompute_to_table(
     protocol measures each string separately.  The simulator computes every
     entry from exact jets (``mode_expectations``), reading the d strings'
     ``pauli_tables``, built once for all modes and kept as the table's
-    ``tables``, in one pass per jet term.
+    ``tables``, in one ``pauli_expectation_batch`` call per jet term, which
+    gathers once per X-pattern.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]

@@ -10,7 +10,8 @@ Conventions used throughout the package:
 Every state is an amplitude row: the kernels, the readout and the shadows
 take batches of shape (batch, 2**n), so that many circuit evaluations (grid
 points, shifted parameters) run in one numpy call, and one state is a batch
-of one.  Pauli strings are read through their ``pauli_tables``.
+of one.  Pauli strings are read through their ``pauli_tables``, grouped by
+X-pattern: the strings of one pattern share one gather of partner amplitudes.
 
 Gates and one-qubit Paulis act on whole contiguous rows through index tables
 cached per register size and qubit(s).  An operator on qubit q reads the
@@ -171,11 +172,6 @@ def pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([src for src, _ in actions]), np.stack([coef for _, coef in actions])
 
 
-# Complex elements gathered at once by the stacked readout; bounds its
-# temporaries, and so the peak memory, to a few hundred kB per chunk.
-_READOUT_CHUNK = 1 << 14
-
-
 def _real(vals: np.ndarray) -> np.ndarray:
     if np.any(np.abs(vals.imag) > 1e-10):
         raise AssertionError("Pauli expectation acquired an imaginary part")
@@ -186,22 +182,32 @@ def pauli_expectation_batch(amps: np.ndarray, tables, bra=None) -> np.ndarray:
     """<psi|P|psi> for every row, or Re<bra|P|psi> with the rows ``bra`` given.
 
     ``tables`` is the ``pauli_tables`` pair of d strings; the result is a
-    real array of shape (batch, d) that reads all of them in one pass.  Each
-    string is contracted as a per-string ``einsum("bi,bi->b", ...)`` would
-    contract it, so the values are bit-identical to that loop's, and the
-    (batch, d) result is a transposed view of a string-major array, the
-    layout the loop stacked on axis 0 would give.  Only a Hermitian read (no
-    ``bra``) is checked for an imaginary part; a cross term has one by nature.
+    real array of shape (batch, d), columns in table order.  A string is
+    X^x Z^z up to a phase, so every string with X-pattern x (``src[k, 0]``
+    is x) reads the same partner amplitudes psi[i ^ x].  The rows are grouped
+    by pattern, and each group is read from one partner gather with one
+    ``einsum("ki,bi,bi->kb", coef, partner, conj)``.  That einsum forms each
+    product as (coef * partner) * conj, the same complex products as a
+    per-string ``einsum("bi,bi->b", conj, coef * psi[src])`` (complex
+    multiplication commutes exactly), and sums every (string, row) over i in
+    order.  So the values are bit-identical to that loop's, and a row's value
+    does not depend on the rest of its batch; a BLAS product would reorder
+    the sums and lose both.  The (batch, d) result is a transposed view of a
+    string-major array, the layout the loop stacked on axis 0 would give.
+    Only a Hermitian read (no ``bra``) is checked for an imaginary part,
+    group by group; a cross term has one by nature.
     """
     real = _real if bra is None else np.real
     conj = np.conj(amps if bra is None else bra)
     src, coef = tables
     out = np.empty((src.shape[0], amps.shape[0]))
-    step = max(1, _READOUT_CHUNK // amps.size)
-    for lo in range(0, src.shape[0], step):
-        part = slice(lo, lo + step)
-        gathered = coef[None, part] * amps[:, src[part]]  # (batch, chunk, 2**n)
-        out[part] = real(np.einsum("bi,bci->bc", conj, gathered)).T
+    order = np.argsort(src[:, 0], kind="stable")
+    pattern = src[order, 0]
+    bounds = [0, *(np.flatnonzero(pattern[1:] != pattern[:-1]) + 1).tolist(), len(order)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        group = order[lo:hi]
+        partner = amps.take(src[group[0]], axis=1)
+        out[group] = real(np.einsum("ki,bi,bi->kb", coef[group], partner, conj))
     return out.T
 
 

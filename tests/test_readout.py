@@ -1,5 +1,7 @@
 """The stacked Pauli readout against the per-string loop it replaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,13 +43,66 @@ def test_stacked_readout_equals_per_string(strings, batch):
     assert np.array_equal(got, _per_string(amps, labels))
 
 
-def test_stacked_readout_covers_a_ragged_last_chunk():
-    # 1024 strings at 22 x 32 amplitudes: chunks of 23 strings, 12 left over
-    amps = _random_states(np.random.default_rng(5), 22, 5)
-    labels = [p.letters for p in pauli.all_strings(5)]
-    step = statevector._READOUT_CHUNK // amps.size
-    assert 1 < step < len(labels) and len(labels) % step
-    assert np.array_equal(pauli_expectation_batch(amps, pauli_tables(labels)), _per_string(amps, labels))
+def test_stacked_readout_reads_ragged_unsorted_groups():
+    # X-patterns arrive unsorted, in groups of 1 to 5 rows, one label twice;
+    # the columns come back in input order, equal to the per-string loop
+    labels = ["XYZ", "ZII", "IXY", "ZII", "YXI", "IIZ", "XXX", "ZZZ", "IZI"]
+    src, _ = pauli_tables(labels)
+    assert src[:, 0].tolist() == [3, 0, 6, 0, 3, 0, 7, 0, 0]
+    rng = np.random.default_rng(5)
+    amps, bra = _random_states(rng, 22, 3), _random_states(rng, 22, 3)
+    for other in (None, bra):
+        got = pauli_expectation_batch(amps, pauli_tables(labels), other)
+        assert np.array_equal(got, _per_string(amps, labels, other))
+    assert np.array_equal(got[:, 1], got[:, 3])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 200])
+def test_stacked_readout_does_not_depend_on_the_batch(batch):
+    # every string at n = 4 and the total-Z diagonal row: each row read alone,
+    # and any slice of rows, equals the full-batch read bit for bit
+    src, coef = pauli_tables([p.letters for p in pauli.all_strings(4)])
+    diag_src, diag_coef = models.diagonal_table(pauli.sum_of_z(4))
+    tables = (np.concatenate([src, diag_src]), np.concatenate([coef, diag_coef]))
+    rng = np.random.default_rng(batch)
+    amps, bra = _random_states(rng, batch, 4), _random_states(rng, batch, 4)
+    for other in (None, bra):
+        full = pauli_expectation_batch(amps, tables, other)
+        for b in range(batch):
+            alone = pauli_expectation_batch(amps[b : b + 1], tables, None if other is None else other[b : b + 1])
+            assert np.array_equal(alone[0], full[b])
+        for part in (slice(1, None), slice(0, batch // 2 + 1), slice(batch // 3, 2 * batch // 3 + 1)):
+            got = pauli_expectation_batch(amps[part], tables, None if other is None else other[part])
+            assert np.array_equal(got, full[part])
+
+
+def test_hermitian_read_checks_every_group():
+    # an anti-Hermitian row in the middle of a group of several rows
+    labels = [p.letters for p in pauli.all_strings(3)]
+    src, coef = pauli_tables(labels)
+    group = np.flatnonzero(src[:, 0] == src[labels.index("ZZI"), 0])
+    assert len(group) > 2
+    coef = coef.copy()
+    coef[group[len(group) // 2]] *= 1j
+    rng = np.random.default_rng(8)
+    amps, bra = _random_states(rng, 5, 3), _random_states(rng, 5, 3)
+    with pytest.raises(AssertionError):
+        pauli_expectation_batch(amps, (src, coef))
+    pauli_expectation_batch(amps, (src, coef), bra)
+
+
+@pytest.mark.parametrize("batch", [66, 420, 1600])
+def test_stacked_readout_peak_memory(batch):
+    # the temporaries are one partner block and one group's values at a time
+    tables = pauli_tables([p.letters for p in pauli.all_strings(5)])
+    amps = _random_states(np.random.default_rng(batch), batch, 5)
+    tracemalloc.start()
+    try:
+        out = pauli_expectation_batch(amps, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * amps.nbytes + 64 * 1024
 
 
 def test_stacked_readout_reads_cross_terms():
