@@ -104,13 +104,7 @@ def build_models(config: RunConfig, problem, counter):
 
 
 def train_config(config: RunConfig) -> dict:
-    return {
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "stop_loss": config.stop_loss,
-        "patience": config.patience,
-        "seed": config.seed,
-    }
+    return {key: getattr(config, key) for key in ("epochs", "lr", "stop_loss", "patience")}
 
 
 def execute(config: RunConfig):
@@ -178,7 +172,7 @@ def summary_doc(config: RunConfig, problem, trace: training.TrainTrace, counter)
             "grid_size": problem.grid.size,
             "n_boundary_terms": len(problem.boundary),
         },
-        "seed": trace.seed,
+        "seed": config.seed,
         "epochs_run": len(trace.records),
         "final": {
             "loss": final.loss,

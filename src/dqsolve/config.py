@@ -9,7 +9,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 
-from . import problems
+from . import models, pauli, problems
 # one error class for every layer: the circuits and the statevector raise it too
 from .statevector import MAX_QUBITS, ConfigurationError
 
@@ -38,7 +38,7 @@ class RunConfig:
     stop_loss: float = 1e-6
     patience: int = 200
     seed: int = 0
-    ub_seed: int = 2                # static basis-change unitary (TO candidates)
+    ub_seed: int = models.DEFAULT_UB_SEED   # static basis-change unitary (TO candidates)
     # problem-size overrides (0 = keep the problem's default grid)
     grid_m: int = 0
     # shadow budget knobs
@@ -87,10 +87,12 @@ class RunConfig:
                 f"shadow_exponent and shadow_w_max must be nonnegative; got "
                 f"{self.shadow_exponent} and {self.shadow_w_max}"
             )
-        if self.observables == "all" and self.n_qubits > 6:
-            raise ConfigurationError("the full Pauli candidate set needs n_qubits <= 6")
-        if self.variant == "to" and self.observables == "loc2" and self.n_qubits < 2:
-            raise ConfigurationError("the 2-local candidate set needs n_qubits >= 2")
+        if self.variant == "to":   # only the trainable observable reads a candidate set
+            limit = pauli.MAX_FULL_ENUMERATION_QUBITS
+            if self.observables == "all" and self.n_qubits > limit:
+                raise ConfigurationError(f"the full Pauli candidate set needs n_qubits <= {limit}")
+            if self.observables == "loc2" and self.n_qubits < 2:
+                raise ConfigurationError("the 2-local candidate set needs n_qubits >= 2")
         return self
 
 

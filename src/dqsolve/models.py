@@ -8,8 +8,8 @@ Every model exposes:
   slice (a slice reads the model's tables without copying them);
 * ``jacobian(params, idx, mode)`` -> derivative of those values with respect
   to every parameter;
-* on the flipped model, ``begin_epoch(params, rng, need_grad)``, which gathers
-  its quantum data once per epoch; the model reads only what it gathered.
+* on the flipped model, ``begin_epoch(params, rng)``, which gathers its
+  quantum data once per epoch; the model reads only that gather, at its angles.
 
 A ``mode`` is a tuple of input-dimension indices: () is the plain value,
 (0,) is d/dx0, (0, 0) the second derivative, (1,) is d/dx1 for 2D inputs.
@@ -823,14 +823,15 @@ class FlippedModel:
     variational state, with C(u) a 1-local Pauli sum weighted by basis
     functions of u.
 
-    ``begin_epoch`` gathers the Pauli expectations of the ansatz state (and of
-    its parameter-shifted companions for gradients) once per epoch, and the
-    other methods read only that gather: all per-point work is classical.
-    Charges M state preparations per gathered state, in both modes alike.
+    ``begin_epoch`` gathers the Pauli expectations of the ansatz state and of
+    its parameter-shifted companions once per epoch, and the other methods
+    read only that gather: all per-point work is classical.  Charges M state
+    preparations per gathered state, in both modes alike.
 
-    The gathered expectations are one (1 + 2p, n_basis) array, one row when no
-    gradient is needed: row 0 is the ansatz state, rows 1 + 2k and 2 + 2k its
-    +pi/2 and -pi/2 shifts in rotation k.
+    The gathered expectations are one (1 + 2p, n_basis) array: row 0 is the
+    ansatz state, rows 1 + 2k and 2 + 2k its +pi/2 and -pi/2 shifts in
+    rotation k.  Reads at rotation angles other than the gathered ones raise
+    ``RuntimeError``; the affine parameters do not enter the gather.
 
     The basis at u = in * x + shift is one jet per parameter vector: a single
     ``basis_matrix`` call at every evaluation point gives every derivative
@@ -890,7 +891,7 @@ class FlippedModel:
             shift = np.zeros(1 + 2 * n_rot)
             shift[1 + 2 * k], shift[2 + 2 * k] = SHIFT, -SHIFT
             self._shifts[self.circuit.gate_indices_for(pid)[0]] = shift
-        self._exps: np.ndarray | None = None
+        self._exps, self._exps_key = None, None   # the gather, the bytes of its angles
         # the basis jet at every evaluation point, the (a_in, a_shift) bytes it
         # was built at, and its top derivative order: the deepest a Jacobian of
         # a max_order mode reads, raised if a deeper mode is asked for
@@ -905,7 +906,7 @@ class FlippedModel:
 
     # -- quantum data ------------------------------------------------------
 
-    def begin_epoch(self, params, rng: np.random.Generator, need_grad: bool = True):
+    def begin_epoch(self, params, rng: np.random.Generator):
         """Gather <P_l> for the current state and its shifted companions.
 
         All 1 + 2p states run as one batch, one shift array per shifted gate;
@@ -913,19 +914,21 @@ class FlippedModel:
         collects every state's shadow, in row order, in one ``collect`` call
         and reads every string of every state in one ``estimate_pauli`` call.
         """
-        batch = 1 + 2 * len(self.rotation_params) if need_grad else 1
-        bindings = dict(zip(self.rotation_params, params[: len(self.rotation_params)]))
-        amps = run_batch(self.circuit, bindings, batch, shifts=self._shifts if need_grad else None)
+        angles = np.asarray(params[: len(self.rotation_params)], dtype=np.float64)
+        batch = 1 + 2 * len(angles)
+        amps = run_batch(self.circuit, dict(zip(self.rotation_params, angles)), batch, shifts=self._shifts)
         if self.mode == "exact":
             self._exps = pauli_expectation_batch(amps, self._tables)  # (batch, n_basis)
         else:
             shadow = shadows.collect(amps, self.snapshots, rng)
             self._exps = shadows.estimate_pauli(shadow, self.pauli_set, self.n_batches)
+        self._exps_key = angles.tobytes()
         _charge(self.counter, batch * self.snapshots, PHASE_EPOCH)
 
-    def _gathered(self, need_grad):
-        if self._exps is None or (need_grad and len(self._exps) == 1):
-            raise RuntimeError("call begin_epoch first (with need_grad=True before a Jacobian)")
+    def _gathered(self, params):
+        key = np.asarray(params[: len(self.rotation_params)], dtype=np.float64).tobytes()
+        if key != self._exps_key:   # None before the first gather
+            raise RuntimeError("nothing gathered at these rotation angles: call begin_epoch first")
         return self._exps
 
     # -- classical evaluation ---------------------------------------------
@@ -961,14 +964,14 @@ class FlippedModel:
 
     def values(self, params, idx, mode=()):
         mode = tuple(mode)
-        exps = self._gathered(False)[0]
+        exps = self._gathered(params)[0]
         return self._combine(params, self._basis(params, idx, mode), mode, exps)
 
     def jacobian(self, params, idx, mode=()):
         mode = tuple(mode)
         points = self.eval_points[idx]
         a_out, a_in = params[-4], params[-3]
-        gathered = self._gathered(True)
+        gathered = self._gathered(params)
         exps = gathered[0]
         j = len(mode)
         basis = self._basis(params, idx, mode)
@@ -996,7 +999,7 @@ class FlippedModel:
     def values_at(self, params, points, mode=()):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         mode = tuple(mode)
-        exps = self._gathered(False)[0]   # ROADMAP item 1: stale, and charged nothing
+        exps = self._gathered(params)[0]
         # off the evaluation points: a jet of its own, up to the mode's order
         u = self._mapped(params, points)
         basis = basis_matrix(u, self.n_basis, self.basis, len(mode))[self._dorders(mode)]

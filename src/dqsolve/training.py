@@ -110,12 +110,10 @@ class EpochRecord:
 
 @dataclass
 class TrainTrace:
-    """What a run returns: one record per epoch, each model's final
-    parameters and the seed echoed from the config."""
+    """One record per epoch and, per model, the parameters the last one evaluated."""
 
     records: list[EpochRecord]
     final_params: list[np.ndarray]
-    seed: int
 
 
 def loss_gradients(problem, trial_models, params_list):
@@ -158,11 +156,13 @@ def train(
 ) -> TrainTrace:
     """Run the epoch loop for any model variant.
 
-    ``config`` keys: epochs, lr and stop_loss (early-stop threshold, or None)
-    are required; patience (epochs without 1% relative improvement) and seed
-    (echoed in the trace) default to ``RunConfig``'s 200 and 0.  Models whose
-    quantum data is gathered per epoch expose ``begin_epoch``.  A non-finite
-    loss or gradient raises ``NumericalFailure``.
+    ``config`` keys: epochs (at least 1), lr and stop_loss (early-stop
+    threshold, or None) are required; patience (epochs without 1% relative
+    improvement) defaults to ``RunConfig``'s 200.  Models whose quantum data
+    is gathered per epoch expose ``begin_epoch``.  ``final_params`` are what
+    the last record evaluated, not the Adam update after it; a non-finite
+    loss or gradient at any epoch, the last included, raises
+    ``NumericalFailure``.
     """
     epochs = int(config["epochs"])
     lr = float(config["lr"])
@@ -176,10 +176,9 @@ def train(
     stale = 0
 
     for epoch in range(epochs):
-        for i, model in enumerate(trial_models):
-            hook = getattr(model, "begin_epoch", None)
-            if hook is not None:
-                hook(params_list[i], rng, need_grad=True)
+        for model, params in zip(trial_models, params_list):
+            if hasattr(model, "begin_epoch"):
+                model.begin_epoch(params, rng)
         (total, l_de, l_bc), F, grads = loss_gradients(problem, trial_models, params_list)
         if not np.isfinite(total):
             raise NumericalFailure(f"loss became non-finite at epoch {epoch}")
@@ -193,6 +192,7 @@ def train(
                 cum_evals=counter.total if counter else 0,
             )
         )
+        evaluated = list(params_list)   # adam_step returns new arrays
         for i in range(len(trial_models)):
             adam_states[i], params_list[i] = adam_step(adam_states[i], params_list[i], grads[i])
         if stop_loss is not None and total < stop_loss:
@@ -205,7 +205,7 @@ def train(
             if stale >= patience:
                 break
 
-    return TrainTrace(records=records, final_params=params_list, seed=int(config.get("seed", 0)))
+    return TrainTrace(records=records, final_params=evaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def counting_policy(variant: str) -> dict:
             "per_epoch": "(1 + 2 * n_rotation_params) * M snapshots, "
             "M = ceil(c0 * 3**w_max * log2(m*(k+1)) / eps**exponent); independent of m "
             "except through log2(m)",
-            "inference": "M snapshots (one shadow covers every requested point)",
+            "inference": "0 -- reads the last epoch's shadow of the reported state, charged per epoch",
         },
     }
     if variant not in policies:

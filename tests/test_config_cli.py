@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqsolve
-from dqsolve import cli, problems
+from dqsolve import cli, models, pauli, problems
 from dqsolve.config import (
     BASES,
     FS_MODES,
@@ -87,6 +87,19 @@ def test_validation_rejects_bad_values(field, value):
 def test_full_pauli_set_needs_small_register():
     with pytest.raises(ConfigurationError):
         apply_overrides(RunConfig(), {"observables": "all", "n_qubits": 8})
+
+
+def test_only_the_trainable_observable_limits_its_candidate_set():
+    """Models that read no candidate set take any register up to MAX_QUBITS
+    whatever ``observables`` says; the TO limit is pauli's enumeration cap."""
+    for variant in ("original", "fs"):
+        assert run_cli("count", "--problem", "damped_osc", "--variant", variant,
+                       "--obs", "all", "--n-qubits", "7") == 0
+    limit = pauli.MAX_FULL_ENUMERATION_QUBITS
+    apply_overrides(RunConfig(), {"observables": "all", "n_qubits": limit})
+    with pytest.raises(ConfigurationError, match=f"n_qubits <= {limit}"):
+        apply_overrides(RunConfig(), {"observables": "all", "n_qubits": limit + 1})
+    assert RunConfig().ub_seed == models.DEFAULT_UB_SEED
 
 
 def test_apply_overrides_rejects_unknown_names():

@@ -830,20 +830,20 @@ def test_flipped_jacobian_matches_finite_differences():
     params = model.init_params(rng)
     idx = np.arange(4)
     for mode in [(), (0,)]:
-        model.begin_epoch(params, rng, need_grad=True)
+        model.begin_epoch(params, rng)
         jac = model.jacobian(params, idx, mode)
         h = 1e-6
         for k in range(model.n_params):
             plus, minus = params.copy(), params.copy()
             plus[k] += h
             minus[k] -= h
-            model.begin_epoch(plus, rng, need_grad=False)
+            model.begin_epoch(plus, rng)
             up = model.values(plus, idx, mode)
-            model.begin_epoch(minus, rng, need_grad=False)
+            model.begin_epoch(minus, rng)
             down = model.values(minus, idx, mode)
             fd = (up - down) / (2 * h)
             assert np.allclose(jac[:, k], fd, atol=1e-5), (mode, model.param_names[k])
-    model.begin_epoch(params, rng, need_grad=False)
+    model.begin_epoch(params, rng)
 
 
 def test_flipped_epoch_charges():
@@ -854,24 +854,30 @@ def test_flipped_epoch_charges():
     )
     params = model.init_params(np.random.default_rng(0))
     n_rot = len(model.rotation_params)
-    model.begin_epoch(params, np.random.default_rng(1), need_grad=True)
-    assert counter.total == (1 + 2 * n_rot) * model.snapshots
-    model.begin_epoch(params, np.random.default_rng(1), need_grad=False)
-    assert counter.total == (1 + 2 * n_rot) * model.snapshots + model.snapshots
-    # only begin_epoch gathers: a read it has not gathered for is refused and
-    # charges nothing; a value-only gather serves values and inference only
+    # every gather is the state and its 2p shifted companions
+    for epoch in (1, 2):
+        model.begin_epoch(params, np.random.default_rng(1))
+        assert counter.total == counter.breakdown["per_epoch"] == epoch * (1 + 2 * n_rot) * model.snapshots
+    # only begin_epoch gathers: a read with nothing gathered, or at rotation
+    # angles other than the gathered ones, is refused and charges nothing; the
+    # affine parameters do not enter the gather, so reads at other ones share it
     fresh = models.FlippedModel(4, 2, EVAL_POINTS_1D, mode="exact", counter=EvalCounter())
     idx = np.arange(3)
-    reads = (fresh.values, fresh.jacobian, lambda params, _idx: fresh.values_at(params, EVAL_POINTS_1D))
-    for read in reads:
+    rotated, affine = params.copy(), params.copy()
+    rotated[0] += 1e-3
+    affine[n_rot:] += [0.5, -0.25, 0.125, 2.0]
+
+    def reads(m):
+        return (m.values, m.jacobian, lambda params, _idx: m.values_at(params, EVAL_POINTS_1D))
+
+    for unread, read in zip(reads(fresh), reads(model)):
         with pytest.raises(RuntimeError, match="begin_epoch"):
-            read(params, idx)
-    fresh.begin_epoch(params, np.random.default_rng(1), need_grad=False)
-    fresh.values(params, idx)
-    fresh.values_at(params, EVAL_POINTS_1D)
-    with pytest.raises(RuntimeError, match="need_grad=True"):
-        fresh.jacobian(params, idx)
-    assert fresh.counter.total == fresh.counter.breakdown["per_epoch"] == model.snapshots
+            unread(params, idx)
+        with pytest.raises(RuntimeError, match="begin_epoch"):
+            read(rotated, idx)
+        assert np.all(np.isfinite(read(affine, idx)))
+    assert counter.total == 2 * (1 + 2 * n_rot) * model.snapshots
+    assert fresh.counter.total == 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "shadow"])
@@ -882,7 +888,7 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
     model = models.FlippedModel(3, 2, EVAL_POINTS_1D, mode=mode)
     params = model.init_params(np.random.default_rng(6))
     n_rot = len(model.rotation_params)
-    model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
+    model.begin_epoch(params, np.random.default_rng(12))
     assert model._exps.shape == (1 + 2 * n_rot, model.n_basis)
     rng = np.random.default_rng(12)
     bindings = {pid: params[i] for i, pid in enumerate(model.rotation_params)}
@@ -901,10 +907,6 @@ def test_flipped_gathers_every_state_in_one_batch(mode):
             ))
     for row, want in enumerate(expected):
         assert np.array_equal(model._exps[row], want), row
-    # without gradients only the state is gathered, as row 0 of the same draws
-    model.begin_epoch(params, np.random.default_rng(12), need_grad=False)
-    assert model._exps.shape == (1, model.n_basis)
-    assert np.array_equal(model._exps[0], expected[0])
 
 
 def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
@@ -928,7 +930,7 @@ def test_flipped_shadow_epoch_reads_each_state_in_one_call(monkeypatch):
     monkeypatch.setattr(shadows, "estimate_pauli", counting_estimate)
     monkeypatch.setattr(shadows, "collect", counting_collect)
     monkeypatch.setattr(shadows, "apply_matrix_batch", counting_rotate)
-    model.begin_epoch(params, np.random.default_rng(12), need_grad=True)
+    model.begin_epoch(params, np.random.default_rng(12))
     n_states = 1 + 2 * len(model.rotation_params)
     # one collect and one estimate for all 1 + 2p states
     assert len(estimates) == 1 and estimates[0] is model.pauli_set
@@ -950,11 +952,11 @@ def test_flipped_shadow_mode_approaches_exact():
     pts = EVAL_POINTS_1D
     exact = models.FlippedModel(4, 1, pts, mode="exact")
     params = exact.init_params(rng)
-    exact.begin_epoch(params, rng, need_grad=False)
+    exact.begin_epoch(params, rng)
     target = exact.values(params, np.arange(len(pts)))
     big = shadows.ShadowBudget(c0=3000.0)
     noisy = models.FlippedModel(4, 1, pts, mode="shadow", budget=big)
-    noisy.begin_epoch(params, np.random.default_rng(4), need_grad=False)
+    noisy.begin_epoch(params, np.random.default_rng(4))
     approx = noisy.values(params, np.arange(len(pts)))
     assert np.allclose(approx, target, atol=0.2)
 
@@ -1090,7 +1092,7 @@ def test_flipped_value_structure():
     model = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact")
     rng = np.random.default_rng(5)
     params = model.init_params(rng)
-    model.begin_epoch(params, rng, need_grad=False)
+    model.begin_epoch(params, rng)
     idx = np.arange(3)
     base = model.values(params, idx)
     shifted = params.copy()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dqsolve import models, pauli, problems, training
+from dqsolve import cli, models, pauli, problems, training
 from dqsolve.training import (
     AdamState,
     EvalCounter,
@@ -224,6 +224,26 @@ def test_coupled_models_share_rng_stream_deterministically():
     assert not np.array_equal(t1.final_params[0], t1.final_params[1])
 
 
+@pytest.mark.parametrize("spec", ["original", "to-loc1", "fs-exact"])
+@pytest.mark.parametrize("name", list(problems.PROBLEMS))
+def test_run_reports_the_parameters_its_last_record_evaluated(name, spec):
+    """A run's artifacts describe one parameter vector: the reported
+    parameters give the last record's loss bit for bit, and the flipped
+    model's inference reads what a fresh gather at them reads."""
+    config = cli.spec_config(name, spec, 4, stop_loss=0.0)
+    problem, trial_models, trace, counter = cli.execute(config)
+    assert len(trace.records) == 4
+    with counter.paused():
+        (total, _, _), _, _ = training.loss_gradients(problem, trial_models, trace.final_params)
+    assert total == trace.records[-1].loss
+    if spec == "fs-exact":
+        points = cli.dense_points(problem)
+        fresh = cli.build_models(config, problem, None)
+        for model, new, params in zip(trial_models, fresh, trace.final_params):
+            new.begin_epoch(params, np.random.default_rng(0))
+            assert np.array_equal(model.values_at(params, points), new.values_at(params, points))
+
+
 def test_counting_policy_covers_all_variants():
     for variant in ("original", "to", "fs"):
         policy = counting_policy(variant)
@@ -263,7 +283,7 @@ def test_loss_gradients_are_the_derivatives_of_the_reported_loss(name, case):
     def loss_and_grads(params_list):
         for model, params in zip(trial, params_list):
             if isinstance(model, models.FlippedModel):
-                model.begin_epoch(params, rng, need_grad=True)
+                model.begin_epoch(params, rng)
         (total, _, _), _, grads = training.loss_gradients(problem, trial, params_list)
         return total, grads
 
