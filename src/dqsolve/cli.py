@@ -23,10 +23,8 @@ import numpy as np
 
 from . import models, pauli, problems, shadows, training
 from .config import (
-    BASES,
-    FS_MODES,
-    OBSERVABLE_SETS,
-    VARIANTS,
+    CHOICES,
+    KINDS,
     ConfigurationError,
     RunConfig,
     apply_overrides,
@@ -63,12 +61,8 @@ def observable_set(config: RunConfig):
 
 
 def shadow_budget(config: RunConfig) -> shadows.ShadowBudget:
-    return shadows.ShadowBudget(
-        c0=config.shadow_c0,
-        eps=config.shadow_eps,
-        exponent=config.shadow_exponent,
-        w_max=config.shadow_w_max,
-    )
+    return shadows.ShadowBudget(c0=config.shadow_c0, eps=config.shadow_eps,
+                                exponent=config.shadow_exponent, w_max=config.shadow_w_max)
 
 
 def build_models(config: RunConfig, problem, counter):
@@ -244,11 +238,8 @@ def write_run_artifacts(config: RunConfig, problem, trial_models, trace, counter
 
 
 def _resolve_config(args) -> RunConfig:
-    overrides = {}
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                 if getattr(args, f.name) is not None}
     if args.config:
         base = load_config(args.config)
     else:
@@ -415,28 +406,21 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+# the flags whose spelling is not "--" plus the field name with dashes
+_FLAG_NAMES = {"variant": ("--variant", "--model"), "observables": ("--obs",), "out_dir": ("--out",)}
+
+
 def _add_config_flags(sub):
+    """``--config``, then one flag per RunConfig field, typed by KINDS and limited
+    by CHOICES; a bool field is a switch.  A flag left out is None: no override."""
     sub.add_argument("--config", help="configuration file (INI, [run] section)")
-    sub.add_argument("--problem", choices=list(problems.PROBLEMS))
-    sub.add_argument("--variant", "--model", dest="variant", choices=VARIANTS)
-    sub.add_argument("--obs", dest="observables", choices=OBSERVABLE_SETS)
-    sub.add_argument("--basis", choices=BASES)
-    sub.add_argument("--fs-mode", dest="fs_mode", choices=FS_MODES)
-    sub.add_argument("--n-qubits", dest="n_qubits", type=int)
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--lr", type=float)
-    sub.add_argument("--stop-loss", dest="stop_loss", type=float)
-    sub.add_argument("--patience", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--ub-seed", dest="ub_seed", type=int)
-    sub.add_argument("--grid-m", dest="grid_m", type=int)
-    sub.add_argument("--shadow-c0", dest="shadow_c0", type=float)
-    sub.add_argument("--shadow-eps", dest="shadow_eps", type=float)
-    sub.add_argument("--shadow-exponent", dest="shadow_exponent", type=int)
-    sub.add_argument("--shadow-w-max", dest="shadow_w_max", type=int)
-    sub.add_argument("--out", dest="out_dir")
-    sub.add_argument("--chart", action="store_const", const=True, default=None)
+    for field in dataclasses.fields(RunConfig):
+        names = _FLAG_NAMES.get(field.name, ("--" + field.name.replace("_", "-"),))
+        if field.type == "bool":
+            sub.add_argument(*names, dest=field.name, action="store_const", const=True, default=None)
+        else:
+            sub.add_argument(*names, dest=field.name, type=KINDS[field.type][0],
+                             choices=CHOICES.get(field.name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = subs.add_parser("compare", help="train several models on one problem")
-    p_cmp.add_argument("--problem", required=True, choices=list(problems.PROBLEMS))
+    p_cmp.add_argument("--problem", required=True, choices=CHOICES["problem"])
     p_cmp.add_argument("--models", nargs="+", required=True,
                        help="e.g. original to-loc2 to-loc1 fs-exact")
     p_cmp.add_argument("--seed", type=int, default=0)

@@ -1,5 +1,7 @@
-"""Run configuration: a flat dataclass, an INI-style file format with exact
-round-tripping, and per-variant defaults for the benchmark problems."""
+"""Run configuration, the one declaration of every run option: a RunConfig
+field is an INI key and, with dashes, a command-line flag; KINDS parses it by
+its annotation, CHOICES lists its allowed values.  Also: an INI file format
+with exact round-tripping, and per-variant defaults for the benchmarks."""
 
 from __future__ import annotations
 
@@ -9,15 +11,22 @@ import io
 import math
 from dataclasses import dataclass, fields
 
-from . import models, pauli, problems
+from . import models, pauli, problems, shadows
 # one error class for every layer: the circuits and the statevector raise it too
 from .statevector import MAX_QUBITS, ConfigurationError
 
 PROBLEMS = tuple(problems.PROBLEMS)
 VARIANTS = ("original", "to", "fs")
 OBSERVABLE_SETS = ("loc1", "loc2", "all")
-BASES = ("chebyshev", "monomial")
-FS_MODES = ("exact", "shadow")
+BASES = models.BASES
+FS_MODES = models.FS_MODES
+
+# the allowed values of every field that takes one of a list
+CHOICES = {"problem": PROBLEMS, "variant": VARIANTS, "observables": OBSERVABLE_SETS,
+           "basis": BASES, "fs_mode": FS_MODES}
+
+# annotation -> (parser of its text, what it expects); bools: see _parse_value
+KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "a string")}
 
 
 @dataclass
@@ -42,33 +51,27 @@ class RunConfig:
     # problem-size overrides (0 = keep the problem's default grid)
     grid_m: int = 0
     # shadow budget knobs
-    shadow_c0: float = 34.0
-    shadow_eps: float = 1.0
-    shadow_exponent: int = 2
-    shadow_w_max: int = 1
+    shadow_c0: float = shadows.ShadowBudget.c0
+    shadow_eps: float = shadows.ShadowBudget.eps
+    shadow_exponent: int = shadows.ShadowBudget.exponent
+    shadow_w_max: int = shadows.ShadowBudget.w_max
     # output
     out_dir: str = "runs/latest"
     chart: bool = False
 
     def validate(self) -> "RunConfig":
-        checks = [
-            ("problem", self.problem, PROBLEMS),
-            ("variant", self.variant, VARIANTS),
-            ("observables", self.observables, OBSERVABLE_SETS),
-            ("basis", self.basis, BASES),
-            ("fs_mode", self.fs_mode, FS_MODES),
-        ]
-        for name, value, allowed in checks:
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
             if value not in allowed:
-                raise ConfigurationError(
-                    f"{name} must be one of {', '.join(allowed)}; got {value!r}"
-                )
+                raise ConfigurationError(f"{name} must be one of {', '.join(allowed)}; got {value!r}")
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ConfigurationError(f"n_qubits must be between 1 and {MAX_QUBITS}")
         if self.depth < 1:
             raise ConfigurationError("depth must be at least 1")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be at least 1")
+        if self.patience < 1:
+            raise ConfigurationError("patience must be at least 1")
         if self.seed < 0 or self.ub_seed < 0:   # numpy's generators refuse them
             raise ConfigurationError(f"seeds must be nonnegative; got {self.seed} and {self.ub_seed}")
         # comparisons with nan are false, so "not 0 < x" rejects nan too
@@ -109,17 +112,11 @@ def _parse_value(name: str, raw: str):
         if low in ("false", "no", "0"):
             return False
         raise ConfigurationError(f"{name} expects a boolean, got {raw!r}")
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{name} expects an integer, got {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{name} expects a number, got {raw!r}") from exc
-    return raw
+    convert, expected = KINDS[kind]
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} expects {expected}, got {raw!r}") from exc
 
 
 def config_from_text(text: str) -> RunConfig:
@@ -166,26 +163,20 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     return dataclasses.replace(config, **overrides).validate()
 
 
-# per (problem, variant) defaults tuned so the stock runs converge, each
-# entry only where it differs from RunConfig's own default; anything can
-# still be overridden from a file or the command line
-_DEFAULTS = {
-    ("damped_osc", "original"): dict(epochs=1500),
-    ("damped_osc", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("damped_osc", "fs"): dict(stop_loss=1e-7, patience=500),
-    ("burgers", "original"): dict(epochs=1500),
-    ("burgers", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("burgers", "fs"): dict(stop_loss=1e-7, patience=500),
-    ("coupled", "original"): dict(epochs=1500),
-    ("coupled", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
-    ("coupled", "fs"): dict(stop_loss=1e-7, patience=500),
+# defaults tuned so the stock runs converge, each only where it differs from
+# RunConfig's own (a (problem, variant) entry: from its variant's entry); a file
+# or the command line still overrides anything
+_VARIANT_DEFAULTS = {
+    "original": dict(epochs=1500),
+    "to": dict(epochs=4000, stop_loss=1e-9, patience=1000),
+    "fs": dict(stop_loss=1e-7, patience=500),
+}
+_PROBLEM_DEFAULTS = {
     ("twod_linear", "original"): dict(epochs=3000, lr=0.08, stop_loss=1e-3, patience=2000),
-    ("twod_linear", "to"): dict(epochs=4000, stop_loss=1e-9, patience=1000),
     ("twod_linear", "fs"): dict(depth=1, epochs=400, stop_loss=1e-3, patience=400),
 }
 
 
 def default_config(problem: str, variant: str) -> RunConfig:
-    config = RunConfig(problem=problem, variant=variant)
-    tweaks = _DEFAULTS.get((problem, variant), {})
-    return dataclasses.replace(config, **tweaks).validate()
+    tweaks = {**_VARIANT_DEFAULTS.get(variant, {}), **_PROBLEM_DEFAULTS.get((problem, variant), {})}
+    return RunConfig(problem=problem, variant=variant, **tweaks).validate()

@@ -98,6 +98,7 @@ def _monomial_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
 
 
 _BASIS_1D = {"chebyshev": _chebyshev_jet, "monomial": _monomial_jet}
+BASES = tuple(_BASIS_1D)
 
 
 @functools.lru_cache(maxsize=None)
@@ -817,6 +818,8 @@ class TOModel:
 # ---------------------------------------------------------------------------
 # flipped shadow model
 
+FS_MODES = ("exact", "shadow")   # exact expectations or simulated shadows
+
 
 class FlippedModel:
     """Trial function: out * <C(in * x + shift)> + offset over a fixed
@@ -855,7 +858,7 @@ class FlippedModel:
         max_order: int = 1,
         counter=None,
     ):
-        if mode not in ("exact", "shadow"):
+        if mode not in FS_MODES:
             raise ValueError(f"unknown evaluation mode {mode!r}")
         if basis not in _BASIS_1D:
             raise ValueError(f"unknown basis {basis!r}")

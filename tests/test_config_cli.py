@@ -1,5 +1,6 @@
 """Configuration round-tripping and the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dqsolve
-from dqsolve import cli, models, pauli, problems
+from dqsolve import cli, models, pauli, problems, shadows
 from dqsolve.config import (
     BASES,
     FS_MODES,
@@ -71,6 +72,8 @@ def test_missing_section_rejected():
         ("n_qubits", 0),
         ("depth", 0),
         ("epochs", 0),
+        ("patience", 0),
+        ("patience", -5),
         ("lr", -0.1),
         ("grid_m", -2),
         ("grid_m", 1),
@@ -113,6 +116,35 @@ def test_default_configs_validate():
             config = default_config(problem, variant)
             assert config.problem == problem
             assert config.variant == variant
+
+
+def test_default_configs_are_the_tuned_table():
+    # (epochs, lr, stop_loss, patience, depth) of every stock run, written out
+    table = {
+        ("damped_osc", "original"): (1500, 0.05, 1e-6, 200, 3),
+        ("damped_osc", "to"): (4000, 0.05, 1e-9, 1000, 3),
+        ("damped_osc", "fs"): (2000, 0.05, 1e-7, 500, 3),
+        ("burgers", "original"): (1500, 0.05, 1e-6, 200, 3),
+        ("burgers", "to"): (4000, 0.05, 1e-9, 1000, 3),
+        ("burgers", "fs"): (2000, 0.05, 1e-7, 500, 3),
+        ("coupled", "original"): (1500, 0.05, 1e-6, 200, 3),
+        ("coupled", "to"): (4000, 0.05, 1e-9, 1000, 3),
+        ("coupled", "fs"): (2000, 0.05, 1e-7, 500, 3),
+        ("twod_linear", "original"): (3000, 0.08, 1e-3, 2000, 3),
+        ("twod_linear", "to"): (4000, 0.05, 1e-9, 1000, 3),
+        ("twod_linear", "fs"): (400, 0.05, 1e-3, 400, 1),
+    }
+    assert {(p, v) for p in PROBLEMS for v in VARIANTS} == set(table)
+    for (problem, variant), (epochs, lr, stop_loss, patience, depth) in table.items():
+        assert default_config(problem, variant) == RunConfig(
+            problem=problem, variant=variant, epochs=epochs, lr=lr,
+            stop_loss=stop_loss, patience=patience, depth=depth)
+
+
+def test_shadow_budget_defaults_are_the_budgets_own():
+    config = RunConfig()
+    fields = (config.shadow_c0, config.shadow_eps, config.shadow_exponent, config.shadow_w_max)
+    assert fields == dataclasses.astuple(shadows.ShadowBudget())
 
 
 def test_type_errors_are_config_errors():
@@ -161,16 +193,50 @@ def test_run_is_reconstructible_from_config_echo(tmp_path):
     assert a == b
 
 
+def _subparser(name):
+    return cli.build_parser()._subparsers._group_actions[0].choices[name]
+
+
 def test_choice_lists_have_one_source():
     # the configuration's lists validate a RunConfig and are the flags' choices
     assert PROBLEMS == tuple(problems.PROBLEMS)
-    run = cli.build_parser()._subparsers._group_actions[0].choices["run"]
-    choices = {action.dest: action.choices for action in run._actions}
-    assert list(choices["problem"]) == list(PROBLEMS)
+    choices = {action.dest: action.choices for action in _subparser("run")._actions}
+    assert choices["problem"] == PROBLEMS
     assert choices["variant"] == VARIANTS
     assert choices["observables"] == OBSERVABLE_SETS
     assert choices["basis"] == BASES
     assert choices["fs_mode"] == FS_MODES
+    assert {a.dest: a.choices for a in _subparser("compare")._actions}["problem"] == PROBLEMS
+    # the models validate the same tuples the configuration offers
+    assert BASES is models.BASES and set(BASES) == set(models._BASIS_1D)
+    assert FS_MODES is models.FS_MODES
+
+
+@pytest.mark.parametrize("command", ["run", "count"])
+def test_every_field_is_one_flag(command):
+    dests = [action.dest for action in _subparser(command)._actions if action.dest != "help"]
+    assert sorted(dests) == sorted([f.name for f in dataclasses.fields(RunConfig)] + ["config"])
+
+
+@pytest.mark.parametrize("command", ["run", "count"])
+def test_every_flag_and_alias_resolves_to_its_field(command):
+    argv = [
+        command, "--problem", "burgers", "--model", "fs", "--obs", "loc1",
+        "--basis", "monomial", "--fs-mode", "shadow", "--n-qubits", "3", "--depth", "2",
+        "--epochs", "7", "--lr", "0.01", "--stop-loss", "1e-4", "--patience", "9",
+        "--seed", "5", "--ub-seed", "4", "--grid-m", "11", "--shadow-c0", "2.5",
+        "--shadow-eps", "0.5", "--shadow-exponent", "1", "--shadow-w-max", "2",
+        "--out", "runs/x", "--chart",
+    ]
+    args = cli.build_parser().parse_args(argv)
+    assert cli._resolve_config(args) == RunConfig(
+        problem="burgers", variant="fs", n_qubits=3, depth=2, observables="loc1",
+        basis="monomial", fs_mode="shadow", epochs=7, lr=0.01, stop_loss=1e-4,
+        patience=9, seed=5, ub_seed=4, grid_m=11, shadow_c0=2.5, shadow_eps=0.5,
+        shadow_exponent=1, shadow_w_max=2, out_dir="runs/x", chart=True,
+    )
+    # --model's other spelling
+    assert cli.build_parser().parse_args([command, "--variant", "original"]).variant == "original"
 
 
 def test_invalid_config_exit_code(tmp_path):
