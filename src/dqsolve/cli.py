@@ -115,17 +115,12 @@ def execute(config: RunConfig):
 # artifacts
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
-
-
 def trace_csv(trace: training.TrainTrace) -> str:
     lines = ["epoch,loss,loss_de,loss_bc,mos,cum_evals"]
-    for r in trace.records:
-        lines.append(
-            f"{r.epoch},{_fmt(r.loss)},{_fmt(r.loss_de)},{_fmt(r.loss_bc)},"
-            f"{_fmt(r.mos)},{r.cum_evals}"
-        )
+    lines.extend(
+        "%d,%.17g,%.17g,%.17g,%.17g,%d" % (r.epoch, r.loss, r.loss_de, r.loss_bc, r.mos, r.cum_evals)
+        for r in trace.records
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -149,9 +144,9 @@ def solution_csv(problem, trial_models, trace: training.TrainTrace) -> str:
         exact = problem.analytic[fn](points)
         columns.extend([f"f{fn}_model", f"f{fn}_exact", f"f{fn}_sq_err"])
         data.extend([values, exact, (values - exact) ** 2])
+    row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(columns)]
-    for row in range(points.shape[0]):
-        lines.append(",".join(_fmt(col[row]) for col in data))
+    lines.extend(row_format % tuple(row) for row in np.column_stack(data).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -299,7 +294,7 @@ def cmd_compare(args) -> int:
         problem, trial_models, trace, counter = execute(config)
         write_run_artifacts(config, problem, trial_models, trace, counter)
         for r in trace.records:
-            merged.append(f"{spec},{r.epoch},{_fmt(r.loss)},{_fmt(r.mos)},{r.cum_evals}")
+            merged.append("%s,%d,%.17g,%.17g,%d" % (spec, r.epoch, r.loss, r.mos, r.cum_evals))
         totals[spec] = counter.total
         final = trace.records[-1]
         if config.variant == "to":

@@ -15,7 +15,9 @@ A ``mode`` is a tuple of input-dimension indices: () is the plain value,
 (0,) is d/dx0, (0, 0) the second derivative, (1,) is d/dx1 for 2D inputs.
 
 Every quantum read takes one observable format, a ``pauli_tables`` pair (src,
-coef); the original model reads its cost operator as one ``diagonal_table`` row.
+coef); the original model reads its cost operator as one ``diagonal_table`` row,
+and trainable-observable inference reads sum alpha_l P_l as its
+``weighted_table``, one row per X-pattern.
 
 Quantum charges go through a counter object with a ``charge(n, phase=...)``
 method; models charge according to their protocol's cost policy, not
@@ -34,7 +36,13 @@ import numpy as np
 
 from . import circuits, pauli, shadows
 from .circuits import CircuitSpec, GateSpec, run_batch
-from .statevector import ConfigurationError, pauli_batch, pauli_expectation_batch, pauli_tables
+from .statevector import (
+    ConfigurationError,
+    pauli_batch,
+    pauli_expectation_batch,
+    pauli_tables,
+    weighted_table,
+)
 
 SHIFT = np.pi / 2.0
 
@@ -195,14 +203,15 @@ def diagonal_table(observable) -> tuple[np.ndarray, np.ndarray]:
     shape (1, 2**n).
 
     Every Z string maps each basis state to itself, so its ``src`` row is the
-    identity and the sum is the diagonal of summed coefficient rows: one pass
-    reads <C> or Re<bra|C|psi>, and C|psi> is ``coef * amps``.
+    identity and the ``weighted_table`` of the strings is one row, the
+    diagonal of C: one pass reads <C> or Re<bra|C|psi>, and C|psi> is
+    ``coef * amps``.
     """
-    src, coef = pauli_tables([pstring.letters for _c, pstring in observable.terms])
-    if np.any(src != np.arange(src.shape[1])):
+    terms = observable.terms
+    src, coef = weighted_table(pauli_tables([p.letters for _c, p in terms]), [c for c, _p in terms])
+    if len(src) != 1 or np.any(src != np.arange(src.shape[1])):
         raise ConfigurationError("a diagonal table takes Z strings only")
-    weights = np.array([c for c, _pstring in observable.terms])
-    return src[:1], (weights[:, None] * coef).sum(axis=0, keepdims=True)
+    return src, coef
 
 
 def adjoint_gradients(circuit, bindings, amps, lam, gate_indices):
@@ -358,8 +367,9 @@ def mode_expectations(
     """Expectations (or their input derivatives) of every row of ``tables``.
 
     ``tables`` is a ``pauli_tables`` pair (src, coef) of d rows: Pauli
-    strings (the trainable observable's labels) or a ``diagonal_table``
-    (the original model's cost operator).  Exact jets compute every value:
+    strings (the trainable observable's labels), a ``diagonal_table`` (the
+    original model's cost operator) or a ``weighted_table`` (the trainable
+    observable at its alpha).  Exact jets compute every value:
     the ``term_jets`` of the mode run as one stacked batch (``jet_states``),
     and ``read_jet_terms`` reads all d rows in one ``pauli_expectation_batch``
     call per term, one partner gather per X-pattern.
@@ -801,18 +811,23 @@ class TOModel:
         return jac
 
     def values_at(self, params, points, mode=()):
-        """Off-table inference: fresh simulation, charged d per point."""
+        """Off-table inference: fresh simulation, charged d per point and shift
+        configuration, as the protocol measures every string.  The simulator
+        reads sum alpha_l P_l as its ``weighted_table``, one row per X-pattern."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         prov = self.table.provenance
         circuit = circuits.circuit_from_json(json.dumps(prov["circuit"]))
         enc = _enc_by_dim(circuit, self.dimension)
+        alpha, a_s = params[:-1], params[-1]
         rows = mode_expectations(
-            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode), self.table.tables
-        ).T
+            circuit, _input_bindings(points), points.shape[0], enc, tuple(mode),
+            weighted_table(self.table.tables, alpha),
+        )
         d = self.table.n_observables
         _charge(self.counter, to_charge(d, points.shape[0], enc, [mode]), PHASE_INFERENCE)
-        alpha, a_s = params[:-1], params[-1]
-        return a_s * (rows @ alpha)
+        # row by row, so a point's sum does not depend on its batch (numpy
+        # sums a one-point column pairwise)
+        return a_s * functools.reduce(np.add, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Every state is an amplitude row: the kernels, the readout and the shadows
 take batches of shape (batch, 2**n), so that many circuit evaluations (grid
 points, shifted parameters) run in one numpy call, and one state is a batch
 of one.  Pauli strings are read through their ``pauli_tables``, grouped by
-X-pattern: the strings of one pattern share one gather of partner amplitudes.
+X-pattern: the strings of one pattern share one gather of partner amplitudes,
+and a weighted sum of them is one table row (``weighted_table``).
 
 Gates and one-qubit Paulis act on whole contiguous rows through index tables
 cached per register size and qubit(s).  An operator on qubit q reads the
@@ -172,6 +173,31 @@ def pauli_tables(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([src for src, _ in actions]), np.stack([coef for _, coef in actions])
 
 
+def _pattern_groups(src: np.ndarray) -> list[np.ndarray]:
+    """The rows of a ``pauli_tables`` ``src`` grouped by X-pattern (``src[k, 0]``):
+    one index array per pattern, in increasing pattern order, each in row order."""
+    order = np.argsort(src[:, 0], kind="stable")
+    pattern = src[order, 0]
+    return np.split(order, np.flatnonzero(pattern[1:] != pattern[:-1]) + 1)
+
+
+def weighted_table(tables, weights) -> tuple[np.ndarray, np.ndarray]:
+    """sum of w_k T_k over the rows T_k of a ``pauli_tables`` pair, as a table
+    of one row per X-pattern, shape (g, 2**n) with g <= 2**n.
+
+    Rows of one pattern share their ``src`` row, so their weighted sum is one
+    row with the summed ``coef``; each group is summed over axis 0 in row
+    order.  Real weights on Pauli strings give Hermitian rows.
+    """
+    src, coef = tables
+    weights = np.asarray(weights)
+    groups = _pattern_groups(src)
+    return (
+        np.stack([src[group[0]] for group in groups]),
+        np.stack([(weights[group, None] * coef[group]).sum(axis=0) for group in groups]),
+    )
+
+
 def _real(vals: np.ndarray) -> np.ndarray:
     if np.any(np.abs(vals.imag) > 1e-10):
         raise AssertionError("Pauli expectation acquired an imaginary part")
@@ -181,15 +207,17 @@ def _real(vals: np.ndarray) -> np.ndarray:
 def pauli_expectation_batch(amps: np.ndarray, tables, bra=None) -> np.ndarray:
     """<psi|P|psi> for every row, or Re<bra|P|psi> with the rows ``bra`` given.
 
-    ``tables`` is the ``pauli_tables`` pair of d strings; the result is a
-    real array of shape (batch, d), columns in table order.  A string is
-    X^x Z^z up to a phase, so every string with X-pattern x (``src[k, 0]``
-    is x) reads the same partner amplitudes psi[i ^ x].  The rows are grouped
-    by pattern, and each group is read from one partner gather with one
+    ``tables`` is a ``pauli_tables`` pair of d rows: Pauli strings, or
+    weighted sums of strings of one X-pattern (``weighted_table``, the
+    original model's ``diagonal_table``).  The result is a real array of
+    shape (batch, d), columns in table order.  A string is X^x Z^z up to a
+    phase, so every row with X-pattern x (``src[k, 0]`` is x) reads the same
+    partner amplitudes psi[i ^ x].  The rows are grouped by pattern, and each
+    group is read from one partner gather with one
     ``einsum("ki,bi,bi->kb", coef, partner, conj)``.  That einsum forms each
     product as (coef * partner) * conj, the same complex products as a
-    per-string ``einsum("bi,bi->b", conj, coef * psi[src])`` (complex
-    multiplication commutes exactly), and sums every (string, row) over i in
+    per-row ``einsum("bi,bi->b", conj, coef * psi[src])`` (complex
+    multiplication commutes exactly), and sums every (row, state) over i in
     order.  So the values are bit-identical to that loop's, and a row's value
     does not depend on the rest of its batch; a BLAS product would reorder
     the sums and lose both.  The (batch, d) result is a transposed view of a
@@ -201,11 +229,7 @@ def pauli_expectation_batch(amps: np.ndarray, tables, bra=None) -> np.ndarray:
     conj = np.conj(amps if bra is None else bra)
     src, coef = tables
     out = np.empty((src.shape[0], amps.shape[0]))
-    order = np.argsort(src[:, 0], kind="stable")
-    pattern = src[order, 0]
-    bounds = [0, *(np.flatnonzero(pattern[1:] != pattern[:-1]) + 1).tolist(), len(order)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        group = order[lo:hi]
+    for group in _pattern_groups(src):
         partner = amps.take(src[group[0]], axis=1)
         out[group] = real(np.einsum("ki,bi,bi->kb", coef[group], partner, conj))
     return out.T

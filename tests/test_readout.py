@@ -1,11 +1,12 @@
 """The stacked Pauli readout against the per-string loop it replaces."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dqsolve import models, pauli, statevector
+from dqsolve import circuits, models, pauli, problems, statevector
 from dqsolve.statevector import pauli_expectation_batch, pauli_tables
 from dqsolve.training import EvalCounter
 
@@ -209,14 +210,16 @@ def test_to_table_equals_per_string_reference():
         "precompute": expected, "per_epoch": 0, "inference": 0, "total": expected,
     }
 
-    # off-table inference reads through the same tables, and its product with
-    # alpha sees the per-string loop's memory layout, so mode () is exact too
+    # off-table inference reads sum alpha_l P_l as one row per X-pattern, so it
+    # sums in another order than the per-string product with alpha, at every
+    # mode; the table entries above stay exact at mode ()
     model = models.TOModel(table)
     params = model.init_params(np.random.default_rng(0))
     dense = np.linspace(0.0, 1.0, 11)[:, None]
     for mode in MODES:
         reference = params[-1] * (per_string(dense, mode) @ params[:-1])
-        _assert_matches_the_shift_rule(model.values_at(params, dense, mode), reference, mode)
+        got = model.values_at(params, dense, mode)
+        assert np.allclose(got, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
 
 
 @pytest.fixture
@@ -254,3 +257,143 @@ def test_pauli_tables_built_once_per_table(action_calls, tmp_path):
     assert np.array_equal(first.values_at(params, dense), model.values_at(params, dense))
     second.values_at(params, dense)
     assert len(action_calls) == 2 * d
+
+
+_DENSE_LETTERS = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def _dense_string(letters):
+    """A Pauli string as a 2**n x 2**n matrix by Kronecker products: qubit 0,
+    the leftmost letter, is the least-significant bit of the index."""
+    out = np.eye(1)
+    for letter in letters:
+        out = np.kron(_DENSE_LETTERS[letter], out)
+    return out
+
+
+def _dense_table(tables):
+    """The sum of a table's rows as a matrix: row k maps psi to coef[k] * psi[src[k]]."""
+    src, coef = tables
+    out = np.zeros((src.shape[1], src.shape[1]), dtype=np.complex128)
+    rows = np.arange(src.shape[1])
+    for s, c in zip(src, coef):
+        out[rows, s] += c
+    return out
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [p.letters for p in pauli.all_strings(3)],
+        ["ZIZ", "IZI", "III", "ZZZ", "IIZ"],   # one X-pattern
+        ["XYZ", "ZII", "IXY", "YXI", "IIZ", "XXX", "ZZZ", "IZI", "YZY"],   # unsorted patterns
+    ],
+    ids=["all-n3", "one-pattern", "unsorted"],
+)
+def test_weighted_table_is_the_weighted_operator(labels):
+    weights = np.random.default_rng(len(labels)).normal(size=len(labels))
+    src, coef = statevector.weighted_table(pauli_tables(labels), weights)
+    patterns = sorted({statevector.pauli_action(s)[0][0] for s in labels})
+    assert src[:, 0].tolist() == patterns and coef.shape == src.shape
+    reference = sum(w * _dense_string(s) for w, s in zip(weights, labels))
+    assert np.allclose(_dense_table((src, coef)), reference, rtol=0.0, atol=1e-14)
+
+
+def _diagonal_reference(observable):
+    """The parent formula of ``diagonal_table``: every Z string's coef row,
+    weighted and summed over axis 0 in term order."""
+    src, coef = pauli_tables([p.letters for _c, p in observable.terms])
+    weights = np.array([c for c, _p in observable.terms])
+    return src[:1], (weights[:, None] * coef).sum(axis=0, keepdims=True)
+
+
+def _weighted_z_sum(n_terms, n):
+    rng = np.random.default_rng(n_terms)
+    letters = ["".join(rng.choice(["I", "Z"], size=n)) for _ in range(n_terms)]
+    return pauli.ObservableSum([(w, pauli.PauliString(s)) for w, s in zip(rng.normal(size=n_terms), letters)])
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [pauli.sum_of_z(n) for n in range(1, 9)] + [_weighted_z_sum(40, 6)],
+    ids=[f"sum_of_z{n}" for n in range(1, 9)] + ["weighted40"],
+)
+def test_diagonal_table_keeps_its_bits(observable):
+    got, reference = models.diagonal_table(observable), _diagonal_reference(observable)
+    assert got[0].tobytes() == reference[0].tobytes()
+    assert got[1].tobytes() == reference[1].tobytes()
+
+
+def _to_model(n, strings, points, modes):
+    return models.TOModel(models.precompute_to_table(points, modes, strings, n))
+
+
+def _per_string_inference(model, params, points, mode):
+    """The read the contraction replaces: every string's jet, then a_s * (rows @ alpha)."""
+    circuit = circuits.circuit_from_json(json.dumps(model.table.provenance["circuit"]))
+    enc = models._enc_by_dim(circuit, model.dimension)
+    rows = models.mode_expectations(
+        circuit, models._input_bindings(points), len(points), enc, tuple(mode), model.table.tables
+    ).T
+    return params[-1] * (rows @ params[:-1])
+
+
+def _assert_inference_matches(model, params, points, modes):
+    for mode in modes:
+        reference = _per_string_inference(model, params, points, mode)
+        got = model.values_at(params, points, mode)
+        assert got.shape == reference.shape
+        assert np.allclose(got, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize(
+    "strings",
+    [pauli.enumerate_k_local(3, 1), pauli.enumerate_k_local(3, 2), pauli.all_strings(3)],
+    ids=["loc1", "loc2", "all"],
+)
+def test_to_inference_equals_the_per_string_product(strings):
+    model = _to_model(3, strings, POINTS, MODES)
+    params = model.init_params(np.random.default_rng(4))
+    params[-1] = 1.7
+    _assert_inference_matches(model, params, np.linspace(0.0, 1.0, 23)[:, None], MODES)
+
+
+def test_to_inference_equals_the_per_string_product_in_2d():
+    problem = problems.twod_linear()
+    model = _to_model(4, pauli.enumerate_k_local(4, 2), problem.eval_points[::40], problem.all_modes)
+    params = model.init_params(np.random.default_rng(5))
+    axis = np.linspace(0.0, 1.0, 6)
+    dense = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    _assert_inference_matches(model, params, dense, problem.all_modes)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_to_inference_does_not_depend_on_the_batch(mode):
+    model = _to_model(5, pauli.all_strings(5), POINTS, MODES)
+    params = model.init_params(np.random.default_rng(6))
+    dense = np.linspace(0.0, 1.0, 200)[:, None]
+    full = model.values_at(params, dense, mode)
+    alone = [model.values_at(params, dense[b : b + 1], mode) for b in range(len(dense))]
+    assert np.concatenate(alone).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("mode, limit", [((), 1 << 20), ((0, 0), 2 << 20)], ids=["()", "(0,0)"])
+def test_to_inference_peak_memory(mode, limit):
+    # n = 5, all 1,024 strings, 200 points: the contracted read holds 32 rows,
+    # not a (1024, 200) array and its transpose
+    model = _to_model(5, pauli.all_strings(5), POINTS, MODES)
+    params = model.init_params(np.random.default_rng(7))
+    dense = np.linspace(0.0, 1.0, 200)[:, None]
+    model.values_at(params, dense, mode)   # the index tables are cached on first use
+    tracemalloc.start()
+    try:
+        model.values_at(params, dense, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit

@@ -1,6 +1,10 @@
 """Classical-shadow collection and estimation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +238,7 @@ def per_string_values(shadow, pstring):
     return values
 
 
-@pytest.mark.parametrize("n_batches", [1, 10, 551])
+@pytest.mark.parametrize("n_batches", [1, 2, 7, 8, 10, 551])
 def test_sequence_form_matches_the_per_string_loop(n_batches):
     rng = np.random.default_rng(17)
     state = random_state(rng, 3)
@@ -254,6 +258,21 @@ def test_sequence_form_matches_the_per_string_loop(n_batches):
         np.median([batch.mean() for batch in np.array_split(ref, n_batches)]) for ref in reference
     ]
     assert together.tobytes() == np.array(textbook).tobytes()
+
+
+def test_a_shadow_epoch_does_not_load_numpy_ma():
+    """estimate_pauli takes its median without np.median, whose first call imports numpy.ma."""
+    code = (
+        "import dataclasses, sys; from dqsolve import cli, config; "
+        "cli.execute(dataclasses.replace(config.default_config('damped_osc', 'fs'), "
+        "fs_mode='shadow', epochs=1)); print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(shadows.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sequence_form_checks_every_string_and_the_batch_count():
