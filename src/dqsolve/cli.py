@@ -125,13 +125,8 @@ def trace_csv(trace: training.TrainTrace) -> str:
 
 
 def dense_points(problem) -> np.ndarray:
-    bounds = problem.grid.bounds
-    if problem.dimension == 1:
-        lo, hi = bounds[0]
-        return np.linspace(lo, hi, DENSE_1D)[:, None]
-    axes = [np.linspace(lo, hi, DENSE_2D) for lo, hi in bounds]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    count = DENSE_1D if problem.dimension == 1 else DENSE_2D
+    return problems.tensor_points([np.linspace(lo, hi, count) for lo, hi in problem.grid.bounds])
 
 
 def solution_csv(problem, trial_models, trace: training.TrainTrace) -> str:

@@ -180,6 +180,7 @@ def shift_rule(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> list:
     return groups
 
 
+# Reached only through mode_variational_grads, and kept with it.
 def _combine_over_mode(circuit, enc_by_dim, mode, evaluate):
     """Sum shifted evaluations into an input derivative of the given mode.
 
@@ -247,6 +248,7 @@ def adjoint_gradients(circuit, bindings, amps, lam, gate_indices):
     return grads
 
 
+# Kept because perfbench/spans.py looks it up by name; ROADMAP item 8 deletes it after item 2.
 def mode_variational_grads(circuit, bindings, batch, enc_by_dim, mode, cost, gate_indices):
     """A mode expectation of the ``diagonal_table`` ``cost`` (row 0) and its
     gradient with respect to the listed rotation gates (rows 1..), one
@@ -897,7 +899,7 @@ class FlippedModel:
             raise ConfigurationError(
                 f"shadow budget M = {self.snapshots} per state is smaller than its "
                 f"{self.n_batches} median-of-means batches; raise shadow_c0 or "
-                f"shadow_w_max, or lower shadow_eps"
+                f"lower shadow_eps"
             )
         # exact mode reads every string of the set in one pass per epoch
         self._tables = pauli_tables([p.letters for p in self.pauli_set]) if mode == "exact" else None

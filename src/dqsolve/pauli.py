@@ -77,7 +77,7 @@ class ObservableSum:
     """A real-weighted sum of Pauli strings.
 
     Duplicate strings are merged and zero-coefficient terms dropped, so two
-    sums built from the same content compare equal term by term.
+    sums built from the same content have equal ``terms``.
     """
 
     __slots__ = ("terms",)
@@ -96,19 +96,6 @@ class ObservableSum:
         self.terms = tuple(
             (c, PauliString(s)) for s, c in sorted(merged.items(), key=lambda kv: PauliString(kv[0]).sort_key()) if c != 0.0
         )
-
-    @property
-    def n_qubits(self) -> int:
-        return self.terms[0][1].n_qubits if self.terms else 0
-
-    def __add__(self, other: "ObservableSum") -> "ObservableSum":
-        return ObservableSum(list(self.terms) + list(other.terms))
-
-    def __rmul__(self, scalar: float) -> "ObservableSum":
-        return ObservableSum([(scalar * c, p) for c, p in self.terms])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ObservableSum) and self.terms == other.terms
 
     def __repr__(self) -> str:
         inner = " + ".join(f"{c:g}*{p}" for c, p in self.terms)

@@ -38,6 +38,12 @@ class Grid:
         return self.points.shape[0]
 
 
+def tensor_points(axes) -> np.ndarray:
+    """Every combination of one value per axis, shape (prod of lengths, D),
+    the first axis slowest (``itertools.product`` order)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def make_grid(counts, bounds) -> Grid:
     """Uniform interior grid: per dimension x_i = lo + (i+1)*(hi-lo)/(m+1)."""
     counts = tuple(int(c) for c in counts)
@@ -46,12 +52,8 @@ def make_grid(counts, bounds) -> Grid:
         raise ValueError("need at least 2 points per dimension")
     if math.prod(counts) > MAX_GRID_POINTS:
         raise ConfigurationError(f"a grid of {math.prod(counts)} points exceeds {MAX_GRID_POINTS}")
-    axes = []
-    for c, (lo, hi) in zip(counts, bounds):
-        i = np.arange(c)
-        axes.append(lo + (i + 1) * (hi - lo) / (c + 1))
-    pts = np.array([p for p in product(*axes)], dtype=np.float64)
-    return Grid(pts, bounds)
+    axes = [lo + (np.arange(c) + 1) * (hi - lo) / (c + 1) for c, (lo, hi) in zip(counts, bounds)]
+    return Grid(tensor_points(axes), bounds)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ from .statevector import BASIS_ROTATION, ConfigurationError, apply_matrix_batch,
 
 BASIS_CODES = "XYZ"
 
-DEFAULT_LOCALITY_CAP = 2
-
 # Eight-byte words one group of states holds at once: prefix-tree rows, their
 # Born sums and per-snapshot indices in ``collect`` (``_collect_words``), and
 # in ``estimate_pauli`` the int64 cast its batch sums make of the sign
@@ -187,16 +185,14 @@ def snapshot_values(shadow: ClassicalShadow, strings) -> np.ndarray:
     return values.reshape(shadow.bases.shape[:-1] + (len(strings),))
 
 
-def estimate_pauli(
-    shadow: ClassicalShadow,
-    strings,
-    n_batches: int = 1,
-    locality_cap: int = DEFAULT_LOCALITY_CAP,
-) -> np.ndarray:
+def estimate_pauli(shadow: ClassicalShadow, strings, n_batches: int = 1) -> np.ndarray:
     """Median-of-means estimate of <P>; n_batches=1 is the plain mean.
 
     A sequence of d strings gives (S, d) estimates, each state's row
-    C-contiguous.  Batches follow ``np.array_split`` within each state.
+    C-contiguous.  Every string must act on the shadow's qubits.  Strings of
+    any weight w are read: each carries its own 3**w scale, and the snapshot
+    budget (``ShadowBudget``) sets the accuracy.  n_batches must lie in
+    [1, n_snapshots].  Batches follow ``np.array_split`` within each state.
     Every snapshot value is 3**w times an integer sign product, so each
     batch sum is taken exactly in integers: int8 sign products (``_values``
     with unit 1), summed as int64 and then scaled by 3**w.  The estimates
@@ -207,10 +203,6 @@ def estimate_pauli(
     """
     n, d = shadow.n_qubits, len(strings)
     for p in strings:
-        if p.weight > locality_cap:
-            raise ValueError(
-                f"Pauli weight {p.weight} of {p} exceeds the locality cap {locality_cap}"
-            )
         if p.n_qubits != n:
             raise ValueError(f"{p} does not act on the shadow's {n} qubits")
     m = shadow.n_snapshots
@@ -272,6 +264,6 @@ class ShadowBudget:
         if m > MAX_SNAPSHOTS:
             raise ConfigurationError(
                 f"shadow budget M = {m:.3g} per state exceeds {MAX_SNAPSHOTS}; lower shadow_c0 "
-                f"or shadow_w_max, or raise shadow_eps"
+                f"or raise shadow_eps"
             )
         return m

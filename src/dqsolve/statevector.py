@@ -238,25 +238,26 @@ def pauli_expectation_batch(amps: np.ndarray, tables, bra=None) -> np.ndarray:
 def expectation(amps: np.ndarray, obs) -> np.ndarray:
     """<psi|obs|psi> of every row for an ObservableSum (or one PauliString), shape (batch,).
 
-    Every term is read in one ``pauli_tables`` pass; a string on fewer qubits
-    than the rows is padded with identities.  A sum with no terms reads 0.
+    Every term is read in one ``pauli_tables`` pass.  Each string must act on
+    exactly the rows' qubits; a sum with no terms reads 0.
     """
     terms = getattr(obs, "terms", None)
     if terms is None:
         terms = [(1.0, obs)]
     n = amps.shape[1].bit_length() - 1
     labels = [str(p) for _, p in terms]
-    if any(len(letters) > n for letters in labels):
-        raise ConfigurationError("observable acts on more qubits than the state has")
+    if any(len(letters) != n for letters in labels):
+        raise ConfigurationError(f"observable does not act on the state's {n} qubits")
     total = np.zeros(amps.shape[0])
     if not labels:
         return total
-    values = pauli_expectation_batch(amps, pauli_tables([s + "I" * (n - len(s)) for s in labels]))
+    values = pauli_expectation_batch(amps, pauli_tables(labels))
     for (coef, _), column in zip(terms, values.T):
         total += coef * column   # term by term, so each row's sum is independent of the batch
     return total
 
 
+# Kept because perfbench/spans.py looks it up by name; ROADMAP item 8 deletes it after item 2.
 def rotate_to_bases(amps: np.ndarray, n: int, bases) -> np.ndarray:
     """Return a copy of ``amps`` rotated so the given product basis becomes computational.
 
@@ -277,6 +278,7 @@ def born_cumulative(amps: np.ndarray) -> np.ndarray:
     return np.cumsum(probs, axis=1)
 
 
+# Kept because perfbench/spans.py looks it up by name; ROADMAP item 8 deletes it after item 2.
 def sample_bitstrings(amps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sample one computational-basis index per row from the Born distribution."""
     cum = born_cumulative(amps)

@@ -13,7 +13,6 @@ The accountant realizes each protocol's cost model:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,29 +33,17 @@ class EvalCounter:
 
     def __init__(self):
         self.breakdown = {phase: 0 for phase in self.PHASES}
-        self._paused = 0
 
     @property
     def total(self) -> int:
         return sum(self.breakdown.values())
 
     def charge(self, n: int, phase: str = PHASE_EPOCH) -> None:
-        if self._paused:
-            return
         if n < 0:
             raise ValueError("charges are nonnegative")
         if phase not in self.breakdown:
             raise ValueError(f"unknown phase {phase!r}")
         self.breakdown[phase] += int(n)
-
-    @contextmanager
-    def paused(self):
-        """Suspend charging for diagnostics (metric evaluation, plotting)."""
-        self._paused += 1
-        try:
-            yield self
-        finally:
-            self._paused -= 1
 
     def snapshot(self) -> dict:
         return dict(self.breakdown, total=self.total)

@@ -162,6 +162,23 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def test_dense_points_span_the_domain_first_axis_slowest():
+    problem = problems.damped_oscillator()
+    points = cli.dense_points(problem)
+    assert points.shape == (200, 1)
+    assert (points[0, 0], points[-1, 0]) == problem.grid.bounds[0]
+    assert np.all(np.diff(points[:, 0]) > 0)
+    problem = problems.twod_linear()
+    points = cli.dense_points(problem)
+    (lo0, hi0), (lo1, hi1) = problem.grid.bounds
+    assert points.shape == (2500, 2)
+    grid = points.reshape(50, 50, 2)
+    assert np.all(grid[:, :, 0] == grid[:, :1, 0])   # the first axis is fixed along a row
+    assert np.all(grid[:, :, 1] == grid[:1, :, 1])   # and the second repeats in every row
+    assert (grid[0, 0, 0], grid[-1, 0, 0], grid[0, 0, 1], grid[0, -1, 1]) == (lo0, hi0, lo1, hi1)
+    assert np.all(np.diff(grid[:, 0, 0]) > 0) and np.all(np.diff(grid[0, :, 1]) > 0)
+
+
 def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     status = run_cli(

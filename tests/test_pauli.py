@@ -77,16 +77,6 @@ def test_observable_sum_merges_duplicates_and_drops_zeros():
     assert cancelled.terms == ()
 
 
-def test_observable_sum_algebra():
-    a = ObservableSum([(1.0, PauliString("XI"))])
-    b = ObservableSum([(0.5, PauliString("IZ"))])
-    total = a + b
-    assert len(total.terms) == 2
-    doubled = 2.0 * a
-    assert doubled.terms[0][0] == pytest.approx(2.0)
-    assert a + b == b + a
-
-
 def test_identity_string():
     p = PauliString("I" * 5)
     assert p.letters == "IIIII"

@@ -52,6 +52,16 @@ def test_make_grid_2d_is_product():
     assert np.allclose(sorted(set(grid.points[:, 1])), [0.5, 1.0, 1.5])
 
 
+@pytest.mark.parametrize("lengths", [(4,), (3, 5), (2, 3, 4)])
+def test_tensor_points_follow_itertools_product_order(lengths):
+    rng = np.random.default_rng(len(lengths))
+    axes = [rng.normal(size=k) for k in lengths]
+    expected = np.array(list(itertools.product(*axes)))
+    points = problems.tensor_points(axes)
+    assert points.shape == expected.shape == (np.prod(lengths), len(lengths))
+    assert points.tobytes() == expected.tobytes()
+
+
 def test_grid_symmetry():
     grid = make_grid((10,), ((0.0, 1.0),))
     assert np.allclose(grid.points[:, 0] + grid.points[::-1, 0], 1.0)

@@ -38,18 +38,6 @@ def test_counter_rejects_bad_charges():
         counter.charge(1, phase="lunch")
 
 
-def test_counter_paused_suspends_charging():
-    counter = EvalCounter()
-    counter.charge(2)
-    with counter.paused():
-        counter.charge(100)
-        with counter.paused():
-            counter.charge(100)
-        counter.charge(100)
-    counter.charge(3)
-    assert counter.total == 5
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -231,10 +219,9 @@ def test_run_reports_the_parameters_its_last_record_evaluated(name, spec):
     parameters give the last record's loss bit for bit, and the flipped
     model's inference reads what a fresh gather at them reads."""
     config = cli.spec_config(name, spec, 4, stop_loss=0.0)
-    problem, trial_models, trace, counter = cli.execute(config)
+    problem, trial_models, trace, _ = cli.execute(config)
     assert len(trace.records) == 4
-    with counter.paused():
-        (total, _, _), _, _ = training.loss_gradients(problem, trial_models, trace.final_params)
+    (total, _, _), _, _ = training.loss_gradients(problem, trial_models, trace.final_params)
     assert total == trace.records[-1].loss
     if spec == "fs-exact":
         points = cli.dense_points(problem)
