@@ -429,8 +429,56 @@ _PROBE_MAP = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 2.0], [1.0, -1.0, 0.0]]) / 
 # at most this many rows per point, up to this register size; beyond it, its
 # 6**n-amplitude probe stack and points x 3**n features cost more time and
 # memory than the row form at the sizes measured (BENCH_original_probe.json).
+# Those sizes were measured while the features were read off simulated
+# feature-map jets; ``probe_features`` builds them far more cheaply, so the
+# crossover is due to be measured again.
 _PROBE_ROWS_PER_POINT = 4
 _PROBE_MAX_QUBITS = 6
+
+
+def probe_features(circuit: CircuitSpec, enc_by_dim, points: np.ndarray, mode) -> np.ndarray:
+    """The probe form's feature matrix of ``mode`` at ``points``, shape
+    (points, 3**n), in closed form: no state is simulated.
+
+    The input-bound prefix is RX gates on |0...0>, so qubit q is a product
+    factor with <I, Y, Z> = (1, -sin t_q, cos t_q), t_q the sum of its gates'
+    angles s_g * x_d(g).  Each d/dx_d falls on one gate g of enc(d): it turns
+    its qubit's (Y, Z) into (-Z, Y), zeroes I and scales by s_g.  F is the
+    sum over those assignments of the Kronecker product over qubits of
+    factor_q @ ``_PROBE_MAP``, probe states in ``itertools.product`` order.
+    Every step is elementwise per point, so a point's row does not depend on
+    the batch around it.
+    """
+    mode = tuple(mode)
+    jet_terms(mode)   # refuses modes above second order, as every jet reader does
+    points = np.atleast_2d(points)
+    n, n_pts = circuit.n_qubits, len(points)
+    dim_of = {g: d for d, gates in enc_by_dim.items() for g in gates}
+    angle = np.zeros((n, n_pts))
+    for g in range(_encoder_length(circuit)):
+        gate = circuit.gates[g]
+        angle[gate.qubits[0]] += gate.scale * points[:, dim_of[g]]
+    # bloch[r][q] = the r-th derivative of qubit q's <I, Y, Z> in its angle,
+    # shape (n, 3, points): points last, so every product below runs along them
+    bloch = [np.stack([np.ones_like(angle), -np.sin(angle), np.cos(angle)], axis=1)]
+    for _ in range(len(mode)):
+        last = bloch[-1]
+        bloch.append(np.stack([np.zeros_like(angle), -last[:, 2], last[:, 1]], axis=1))
+    # factor @ _PROBE_MAP as an ordered sum over the letters I, Y, Z
+    probe = [sum(b[:, k, None] * _PROBE_MAP[k, :, None] for k in range(3)) for b in bloch]
+    total = None
+    for gates in itertools.product(*(enc_by_dim[d] for d in mode)):
+        orders, scales = [0] * n, [1.0] * n
+        for g in gates:
+            q = circuit.gates[g].qubits[0]
+            orders[q] += 1
+            scales[q] *= circuit.gates[g].scale
+        feats = np.ones((1, n_pts))
+        for q in range(n):
+            factor = scales[q] * probe[orders[q]][q]
+            feats = (feats[:, None] * factor).reshape(-1, n_pts)
+        total = feats if total is None else np.add(total, feats, out=total)
+    return np.ascontiguousarray(total.T)
 
 
 def probe_form_fits(n_qubits: int, n_points: int) -> bool:
@@ -507,10 +555,11 @@ class ProbeForm:
     then only reads the Pauli strings of O over {I, Y, Z}, and each of those
     is a sum of projectors on the 3**n product probe states s in {|0>, |1>,
     |+i>}**n.  So the derivative is F[x] @ o, exactly, with o_s = <s|O|s> and
-    F fixed by the points: built once per model and mode from the prefix jets
-    (``features``).  Per parameter vector, one run of the probe states and one
-    adjoint sweep over them give o and do/dtheta: 3**n simulated rows,
-    whatever the number of points.
+    F fixed by the points: built once per model and mode in closed form from
+    the qubits' angles, with no simulation (``features``, ``probe_features``).
+    Per parameter vector, one run of the probe states and one adjoint sweep
+    over them give o and do/dtheta: 3**n simulated rows, whatever the number
+    of points.
     """
 
     def __init__(self, model):
@@ -527,6 +576,9 @@ class ProbeForm:
             variational_params=model.circuit.variational_params,
         )
         self.gate_indices = [g - length + n for g in model.gate_indices]
+        # the probe-layer angles of every probe state, one row per state
+        angles = np.array(list(itertools.product(_PROBE_ANGLES, repeat=n)))
+        self._probe_bindings = dict(zip(self._names, angles.T))
         self._features: dict = {}
         # the rotation angles o and do/dtheta were read at, and the two
         self._key = None
@@ -534,23 +586,12 @@ class ProbeForm:
 
     def features(self, mode):
         """F of the mode at every evaluation point, shape (points, 3**n), with
-        probe states ordered as ``itertools.product`` over qubits 0..n-1."""
+        probe states ordered as ``itertools.product`` over qubits 0..n-1;
+        built once per model and mode by ``probe_features``."""
         mode = tuple(mode)
         if mode not in self._features:
             model = self.model
-            n, points = model.n_qubits, model.eval_points
-            # the feature-map jets do not depend on theta: each runs once per model
-            phi = prefix_jets(
-                model.circuit, model.enc_by_dim, _input_bindings(points), len(points),
-                term_jets(mode), model._phi,
-            )
-            tables = pauli_tables(["".join(p) for p in itertools.product("IYZ", repeat=n)])
-            paulis = read_jet_terms(phi, mode, tables).T
-            # the n-fold Kronecker power of _PROBE_MAP, one qubit axis at a time
-            feats = paulis.reshape((-1,) + (3,) * n)
-            for _ in range(n):
-                feats = np.tensordot(feats, _PROBE_MAP, axes=(1, 0))
-            self._features[mode] = feats.reshape(paulis.shape)
+            self._features[mode] = probe_features(model.circuit, model.enc_by_dim, model.eval_points, mode)
         return self._features[mode]
 
     def _read(self, theta):
@@ -559,10 +600,9 @@ class ProbeForm:
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key != self._key:
             model = self.model
-            angles = np.array(list(itertools.product(_PROBE_ANGLES, repeat=model.n_qubits)))
-            bindings = dict(zip(self._names, angles.T))
+            bindings = dict(self._probe_bindings)
             bindings.update(zip(model.rotation_params, theta))
-            amps = run_batch(self.circuit, bindings, len(angles))
+            amps = run_batch(self.circuit, bindings, 3**model.n_qubits)
             o = pauli_expectation_batch(amps, model.cost)[:, 0]
             lam = model.cost[1] * amps
             grads = adjoint_gradients(self.circuit, bindings, amps, lam, self.gate_indices)
@@ -585,11 +625,12 @@ class OriginalModel:
     Charges one evaluation per distinct expectation, including every
     parameter-shift evaluation, so the charges grow with the number of
     points m.  The simulator computes the input derivatives at the fixed
-    evaluation points from exact jets of the feature map instead, run once
-    per model, in one of two forms chosen by size (``probe_form_fits``): the
-    probe form reads U^dag C U on 3**n probe states, so its simulated rows per
-    parameter vector are 3**n, flat in m (``ProbeForm``); the row form runs
-    the ansatz on every jet at every point (``RowForm``).
+    evaluation points exactly instead, in one of two forms chosen by size
+    (``probe_form_fits``): the probe form reads U^dag C U on 3**n probe
+    states against feature matrices built in closed form once per model, so
+    its simulated rows per parameter vector are 3**n, flat in m
+    (``ProbeForm``); the row form runs the feature map once per model and
+    then the ansatz on every jet at every point (``RowForm``).
     """
 
     def __init__(self, n_qubits: int, depth: int, eval_points: np.ndarray, counter=None):
@@ -609,7 +650,8 @@ class OriginalModel:
         self.cost = diagonal_table(self.observable)
         self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
         self.counter = counter
-        # the feature-map jets at every evaluation point, by jet; filled on first use
+        # the feature-map jets at every evaluation point, by jet; the row form
+        # fills it on first use, the probe form needs no jets
         self._phi: dict = {}
         form = ProbeForm if probe_form_fits(n_qubits, self.eval_points.shape[0]) else RowForm
         self.form = form(self)

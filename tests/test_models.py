@@ -449,10 +449,11 @@ def run_batch_rows(monkeypatch):
 @pytest.mark.parametrize("dimension, mode, runs", [(1, (), 1), (2, (1,), 4)])
 def test_original_jacobian_runs_each_shift_configuration_once(run_batch_rows, dimension, mode, runs):
     """The accountant charges each of the mode's ``runs`` shift configurations once
-    per point and rotation shift pair; the simulator runs the feature map once
-    per model and then, per parameter vector, either the mode's jets at every
-    point (row form, 5 points) or the 3**4 probe states (probe form, 30 points)."""
-    for n_pts, form, rows in [(5, models.RowForm, []), (30, models.ProbeForm, [81])]:
+    per point and rotation shift pair; the row form (5 points) runs the feature
+    map once per model and then the mode's jets at every point, the probe form
+    (30 points) runs no feature map and the 3**4 probe states per parameter
+    vector."""
+    for n_pts, form, once, rows in [(5, models.RowForm, [5], []), (30, models.ProbeForm, [], [81])]:
         run_batch_rows["runs"].clear()
         counter = EvalCounter()
         model = models.OriginalModel(4, 1, np.full((n_pts, dimension), 0.3), counter=counter)
@@ -460,10 +461,10 @@ def test_original_jacobian_runs_each_shift_configuration_once(run_batch_rows, di
         assert models.runs_per_point(model.enc_by_dim, mode) == runs
         rng = np.random.default_rng(0)
         model.jacobian(model.init_params(rng), np.arange(n_pts), mode)
-        assert run_batch_rows["runs"] == [n_pts] + rows   # the feature map, then the probes
+        assert run_batch_rows["runs"] == once + rows   # the feature map, then the probes
         assert counter.breakdown["per_epoch"] == n_pts * runs * 2 * len(model.rotation_params)
         model.jacobian(model.init_params(rng), np.arange(n_pts), mode)
-        assert run_batch_rows["runs"] == [n_pts] + rows + rows
+        assert run_batch_rows["runs"] == once + rows + rows
 
 
 def test_loss_gradients_runs_one_forward_per_jet(run_batch_rows, monkeypatch):
@@ -494,7 +495,8 @@ def test_loss_gradients_runs_one_forward_per_jet(run_batch_rows, monkeypatch):
 
 @pytest.mark.parametrize("per_dim", [5, 20])
 def test_probe_form_simulates_3_to_the_n_rows_per_parameter_vector(run_batch_rows, per_dim):
-    """Simulated rows per epoch stay 3**n at 30 and at 420 points; the charges grow."""
+    """Simulated rows per epoch stay 3**n at 30 and at 420 points, with no
+    feature-map run; the charges grow."""
     problem = problems.twod_linear(per_dim)
     n_pts = problem.eval_points.shape[0]
     counter = EvalCounter()
@@ -502,11 +504,11 @@ def test_probe_form_simulates_3_to_the_n_rows_per_parameter_vector(run_batch_row
     assert type(model.form) is models.ProbeForm
     rng = np.random.default_rng(3)
     training.loss_gradients(problem, [model], [model.init_params(rng)])
-    assert run_batch_rows["runs"] == [n_pts, 81]   # the feature map once, then the probes
+    assert run_batch_rows["runs"] == [81]   # the probes only: the features are closed-form
     assert run_batch_rows["sweeps"] == [81]
     for _epoch in range(2):
         training.loss_gradients(problem, [model], [model.init_params(rng)])
-    assert run_batch_rows["runs"] == [n_pts, 81, 81, 81]
+    assert run_batch_rows["runs"] == [81, 81, 81]
     assert run_batch_rows["sweeps"] == [81, 81, 81]
     per_epoch = training.expected_charges(problem, [model])["per_epoch"]
     assert counter.breakdown["per_epoch"] == 3 * per_epoch
@@ -526,6 +528,51 @@ def test_form_selection_rule(run_batch_rows, n_qubits, n_points, probe):
     model = models.OriginalModel(n_qubits, 1, np.full((n_points, 1), 0.5))
     assert type(model.form) is (models.ProbeForm if probe else models.RowForm)
     assert run_batch_rows == {"runs": [], "sweeps": []}
+
+
+def simulated_probe_features(model, points, mode):
+    """The probe form's features read off simulated feature-map jets: the
+    {I, Y, Z} strings' expectations by ``read_jet_terms`` on ``prefix_jets``,
+    mapped to the probe states by the n-fold Kronecker power of
+    ``_PROBE_MAP``."""
+    n = model.n_qubits
+    phi = models.prefix_jets(
+        model.circuit, model.enc_by_dim, models._input_bindings(points), len(points),
+        models.term_jets(mode),
+    )
+    tables = pauli_tables(["".join(p) for p in itertools.product("IYZ", repeat=n)])
+    paulis = models.read_jet_terms(phi, mode, tables).T
+    feats = paulis.reshape((-1,) + (3,) * n)
+    for _ in range(n):   # one qubit axis at a time
+        feats = np.tensordot(feats, models._PROBE_MAP, axes=(1, 0))
+    return feats.reshape(paulis.shape)
+
+
+PROBE_FEATURE_CASES = [(n, dim) for n in range(1, 7) for dim in (1, 2) if n % dim == 0]
+
+
+@pytest.mark.parametrize("n_qubits, dimension", PROBE_FEATURE_CASES)
+def test_probe_features_match_the_simulated_feature_map(n_qubits, dimension):
+    """The closed-form features equal those read off the simulated jets, in
+    every mode up to second order, and a point alone gets its batch row."""
+    points = np.random.default_rng(n_qubits).uniform(-1.0, 1.0, size=(9, dimension))
+    model = models.OriginalModel(n_qubits, 1, points)
+    form = models.ProbeForm(model)
+    for order in range(3):
+        for mode in itertools.product(range(dimension), repeat=order):
+            feats = form.features(mode)
+            assert feats.shape == (len(points), 3**n_qubits)
+            reference = simulated_probe_features(model, points, mode)
+            tol = 1e-12 * np.abs(reference).max()
+            assert np.allclose(feats, reference, rtol=0.0, atol=tol), mode
+            alone = models.probe_features(model.circuit, model.enc_by_dim, points[4:5], mode)
+            assert np.array_equal(alone[0], feats[4]), mode
+
+
+def test_probe_features_refuse_a_third_order_mode():
+    model = models.OriginalModel(2, 1, EVAL_POINTS_1D)
+    with pytest.raises(ConfigurationError, match="above second order"):
+        models.ProbeForm(model).features((0, 0, 0))
 
 
 def _forms_case(problem_name, n_qubits):
