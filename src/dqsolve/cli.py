@@ -78,7 +78,6 @@ def build_models(config: RunConfig, problem, counter):
             problem.all_modes,
             observable_set(config),
             config.n_qubits,
-            ub_seed=config.ub_seed,
             counter=counter,
         )
         return [models.TOModel(table, counter=counter) for _ in range(problem.n_functions)]
@@ -87,7 +86,6 @@ def build_models(config: RunConfig, problem, counter):
             config.n_qubits,
             config.depth,
             problem.eval_points,
-            basis=config.basis,
             mode=config.fs_mode,
             budget=shadow_budget(config),
             max_order=problem.order,
@@ -318,7 +316,7 @@ def cmd_count(args) -> int:
     if config.variant == "to":
         # the table's size and encoding gates, without measuring it
         d = len(observable_set(config))
-        circuit = models.encoding_circuit(config.n_qubits, problem.dimension, config.ub_seed)
+        circuit = models.encoding_circuit(config.n_qubits, problem.dimension)
         enc = models._enc_by_dim(circuit, problem.dimension)
         charges = training.expected_charges(problem, to_table=(d, enc))
         lines.append(f"  candidate observables d: {d}")

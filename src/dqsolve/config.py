@@ -1,7 +1,10 @@
 """Run configuration, the one declaration of every run option: a RunConfig
 field is an INI key and, with dashes, a command-line flag; KINDS parses it by
-its annotation, CHOICES lists its allowed values.  Also: an INI file format
-with exact round-tripping, and per-variant defaults for the benchmarks."""
+its annotation, CHOICES lists its allowed values.  What every run shares is
+not an option: the flipped model's weights are Chebyshev polynomials, and the
+trainable observable's basis change is drawn from ``models.UB_SEED``.  Also:
+an INI file format with exact round-tripping, and per-variant defaults for
+the benchmarks."""
 
 from __future__ import annotations
 
@@ -18,12 +21,11 @@ from .statevector import MAX_QUBITS, ConfigurationError
 PROBLEMS = tuple(problems.PROBLEMS)
 VARIANTS = ("original", "to", "fs")
 OBSERVABLE_SETS = ("loc1", "loc2", "all")
-BASES = models.BASES
 FS_MODES = models.FS_MODES
 
 # the allowed values of every field that takes one of a list
 CHOICES = {"problem": PROBLEMS, "variant": VARIANTS, "observables": OBSERVABLE_SETS,
-           "basis": BASES, "fs_mode": FS_MODES}
+           "fs_mode": FS_MODES}
 
 # annotation -> (parser of its text, what it expects); bools: see _parse_value
 KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "a string")}
@@ -39,7 +41,6 @@ class RunConfig:
     n_qubits: int = 4
     depth: int = 3                  # ansatz depth (original / fs)
     observables: str = "loc2"       # candidate set for the trainable observable
-    basis: str = "chebyshev"        # weight functions for the flipped model
     fs_mode: str = "exact"          # exact expectations or simulated shadows
     # optimization
     epochs: int = 2000
@@ -47,7 +48,6 @@ class RunConfig:
     stop_loss: float = 1e-6
     patience: int = 200
     seed: int = 0
-    ub_seed: int = models.DEFAULT_UB_SEED   # static basis-change unitary (TO candidates)
     # problem-size overrides (0 = keep the problem's default grid)
     grid_m: int = 0
     # shadow budget knobs
@@ -72,8 +72,8 @@ class RunConfig:
             raise ConfigurationError("epochs must be at least 1")
         if self.patience < 1:
             raise ConfigurationError("patience must be at least 1")
-        if self.seed < 0 or self.ub_seed < 0:   # numpy's generators refuse them
-            raise ConfigurationError(f"seeds must be nonnegative; got {self.seed} and {self.ub_seed}")
+        if self.seed < 0:   # numpy's generators refuse it
+            raise ConfigurationError(f"seed must be nonnegative; got {self.seed}")
         # comparisons with nan are false, so "not 0 < x" rejects nan too
         if not 0 < self.lr < math.inf:
             raise ConfigurationError(f"lr must be positive and finite; got {self.lr}")

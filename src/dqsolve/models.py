@@ -46,9 +46,9 @@ from .statevector import (
 
 SHIFT = np.pi / 2.0
 
-# default seed for the static basis-change unitary behind the trainable
-# observable's candidate set; fixed so tables are comparable across runs
-DEFAULT_UB_SEED = 2
+# seed of the static basis-change unitary behind the trainable observable's
+# candidate set; fixed so tables are comparable across runs
+UB_SEED = 2
 
 PHASE_PRECOMPUTE = "precompute"
 PHASE_EPOCH = "per_epoch"
@@ -94,21 +94,6 @@ def _chebyshev_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
     return out
 
 
-def _monomial_jet(u: np.ndarray, l_max: int, max_order: int) -> np.ndarray:
-    """d^r/du^r u**l = perm(l, r) * u**(l - r) for l = 0..l_max and r =
-    0..max_order, shape (max_order + 1, len(u), l_max + 1)."""
-    powers = [u**e for e in range(l_max + 1)]
-    out = np.zeros((max_order + 1,) + u.shape + (l_max + 1,))
-    for r in range(max_order + 1):
-        for l in range(r, l_max + 1):
-            out[r, :, l] = math.perm(l, r) * powers[l - r]
-    return out
-
-
-_BASIS_1D = {"chebyshev": _chebyshev_jet, "monomial": _monomial_jet}
-BASES = tuple(_BASIS_1D)
-
-
 @functools.lru_cache(maxsize=None)
 def _graded(dimension: int, count: int) -> tuple:
     found: list[tuple[int, ...]] = []
@@ -125,22 +110,20 @@ def graded_multi_indices(dimension: int, count: int) -> list[tuple[int, ...]]:
     return list(_graded(dimension, count))
 
 
-def basis_matrix(u: np.ndarray, count: int, kind: str, max_order: int) -> dict:
-    """The basis jet: the product basis and its derivatives at points ``u``
-    (shape (m, D)).
+def basis_matrix(u: np.ndarray, count: int, max_order: int) -> dict:
+    """The basis jet: the product Chebyshev basis and its derivatives at
+    points ``u`` (shape (m, D)).
 
     Returns one (m, count) matrix, one column per basis function in graded
     order, for every tuple of per-dimension derivative orders whose total is
     at most ``max_order``, keyed by that tuple.  Each dimension's orders come
-    from one all-orders pass (``_chebyshev_jet``, ``_monomial_jet``); a
-    tuple's matrix is the product of its dimensions' columns.
+    from one all-orders pass (``_chebyshev_jet``); a tuple's matrix is the
+    product of its dimensions' columns.
     """
-    if kind not in _BASIS_1D:
-        raise ValueError(f"unknown basis kind {kind!r}")
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     dim = u.shape[1]
     indices = np.array(graded_multi_indices(dim, count))
-    per_dim = [_BASIS_1D[kind](u[:, d], int(indices.max()), max_order) for d in range(dim)]
+    per_dim = [_chebyshev_jet(u[:, d], int(indices.max()), max_order) for d in range(dim)]
     jet = {}
     for orders in itertools.product(range(max_order + 1), repeat=dim):
         if sum(orders) <= max_order:
@@ -499,6 +482,9 @@ class RowForm:
 
     def __init__(self, model):
         self.model = model
+        # the feature-map jets at every evaluation point, by jet, filled on
+        # first use
+        self._phi: dict = {}
         # the rotation angles the jets were gathered at, and per jet the final
         # states psi_J at every evaluation point
         self._key = None
@@ -515,7 +501,7 @@ class RowForm:
             model = self.model
             n_pts = model.eval_points.shape[0]
             bindings = model._bindings(model.eval_points, theta)
-            amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, model._phi)
+            amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, self._phi)
             for j, jet in enumerate(missing):
                 self._jets[jet] = amps[j * n_pts : (j + 1) * n_pts]
         return self._jets
@@ -650,9 +636,6 @@ class OriginalModel:
         self.cost = diagonal_table(self.observable)
         self.gate_indices = [self.circuit.gate_indices_for(pid)[0] for pid in self.rotation_params]
         self.counter = counter
-        # the feature-map jets at every evaluation point, by jet; the row form
-        # fills it on first use, the probe form needs no jets
-        self._phi: dict = {}
         form = ProbeForm if probe_form_fits(n_qubits, self.eval_points.shape[0]) else RowForm
         self.form = form(self)
 
@@ -732,10 +715,10 @@ class TOTable:
         return len(self.labels)
 
 
-def encoding_circuit(n_qubits: int, dimension: int, ub_seed: int = DEFAULT_UB_SEED) -> CircuitSpec:
+def encoding_circuit(n_qubits: int, dimension: int) -> CircuitSpec:
     """Tower feature map followed by the static random basis change."""
     return circuits.compose(
-        feature_map(n_qubits, dimension), circuits.random_basis_unitary(n_qubits, ub_seed)
+        feature_map(n_qubits, dimension), circuits.random_basis_unitary(n_qubits, UB_SEED)
     )
 
 
@@ -744,7 +727,6 @@ def precompute_to_table(
     modes,
     observable_strings,
     n_qubits: int,
-    ub_seed: int = DEFAULT_UB_SEED,
     counter=None,
 ) -> TOTable:
     """Measure every (mode, point, observable) entry once, before training.
@@ -759,7 +741,7 @@ def precompute_to_table(
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dimension = points.shape[1]
-    circuit = encoding_circuit(n_qubits, dimension, ub_seed)
+    circuit = encoding_circuit(n_qubits, dimension)
     enc = _enc_by_dim(circuit, dimension)
     labels = tuple(p.letters for p in observable_strings)
     tables = pauli_tables(labels)
@@ -778,7 +760,7 @@ def precompute_to_table(
         provenance={
             "n_qubits": n_qubits,
             "dimension": dimension,
-            "ub_seed": ub_seed,
+            "ub_seed": UB_SEED,
             "circuit": json.loads(circuits.circuit_to_json(circuit)),
         },
     )
@@ -882,8 +864,8 @@ FS_MODES = ("exact", "shadow")   # exact expectations or simulated shadows
 
 class FlippedModel:
     """Trial function: out * <C(in * x + shift)> + offset over a fixed
-    variational state, with C(u) a 1-local Pauli sum weighted by basis
-    functions of u.
+    variational state, with C(u) a 1-local Pauli sum weighted by Chebyshev
+    basis functions of u.
 
     ``begin_epoch`` gathers the Pauli expectations of the ansatz state and of
     its parameter-shifted companions once per epoch, and the other methods
@@ -911,7 +893,6 @@ class FlippedModel:
         n_qubits: int,
         depth: int,
         eval_points: np.ndarray,
-        basis: str = "chebyshev",
         mode: str = "exact",
         budget: shadows.ShadowBudget | None = None,
         max_order: int = 1,
@@ -919,14 +900,11 @@ class FlippedModel:
     ):
         if mode not in FS_MODES:
             raise ValueError(f"unknown evaluation mode {mode!r}")
-        if basis not in _BASIS_1D:
-            raise ValueError(f"unknown basis {basis!r}")
         self.n_qubits = n_qubits
         # a private read-only copy: the cached basis jet below depends on it
         self.eval_points = np.atleast_2d(np.array(eval_points, dtype=np.float64))
         self.eval_points.flags.writeable = False
         self.dimension = self.eval_points.shape[1]
-        self.basis = basis
         self.mode = mode
         self.budget = budget or shadows.ShadowBudget()
         self.snapshots = self.budget.snapshots(self.eval_points.shape[0], max_order)
@@ -1011,7 +989,7 @@ class FlippedModel:
         if key != self._jet_key or len(mode) > self._jet_order:
             self._jet_order = max(self._jet_order, len(mode))
             u = self._mapped(params, self.eval_points)
-            self._jet = basis_matrix(u, self.n_basis, self.basis, self._jet_order)
+            self._jet = basis_matrix(u, self.n_basis, self._jet_order)
             self._jet_key = key
         return self._jet[self._dorders(mode)][idx]
 
@@ -1064,5 +1042,5 @@ class FlippedModel:
         exps = self._gathered(params)[0]
         # off the evaluation points: a jet of its own, up to the mode's order
         u = self._mapped(params, points)
-        basis = basis_matrix(u, self.n_basis, self.basis, len(mode))[self._dorders(mode)]
+        basis = basis_matrix(u, self.n_basis, len(mode))[self._dorders(mode)]
         return self._combine(params, basis, mode, exps)

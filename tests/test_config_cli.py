@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import dqsolve
 from dqsolve import cli, models, pauli, problems, shadows
 from dqsolve.config import (
-    BASES,
+    CHOICES,
     FS_MODES,
     OBSERVABLE_SETS,
     PROBLEMS,
@@ -67,7 +67,6 @@ def test_missing_section_rejected():
         ("problem", "heat"),
         ("variant", "hybrid"),
         ("observables", "loc3"),
-        ("basis", "wavelets"),
         ("fs_mode", "guess"),
         ("n_qubits", 0),
         ("depth", 0),
@@ -102,7 +101,6 @@ def test_only_the_trainable_observable_limits_its_candidate_set():
     apply_overrides(RunConfig(), {"observables": "all", "n_qubits": limit})
     with pytest.raises(ConfigurationError, match=f"n_qubits <= {limit}"):
         apply_overrides(RunConfig(), {"observables": "all", "n_qubits": limit + 1})
-    assert RunConfig().ub_seed == models.DEFAULT_UB_SEED
 
 
 def test_apply_overrides_rejects_unknown_names():
@@ -221,11 +219,10 @@ def test_choice_lists_have_one_source():
     assert choices["problem"] == PROBLEMS
     assert choices["variant"] == VARIANTS
     assert choices["observables"] == OBSERVABLE_SETS
-    assert choices["basis"] == BASES
     assert choices["fs_mode"] == FS_MODES
+    assert sorted(CHOICES) == ["fs_mode", "observables", "problem", "variant"]
     assert {a.dest: a.choices for a in _subparser("compare")._actions}["problem"] == PROBLEMS
-    # the models validate the same tuples the configuration offers
-    assert BASES is models.BASES and set(BASES) == set(models._BASIS_1D)
+    # the models validate the same tuple the configuration offers
     assert FS_MODES is models.FS_MODES
 
 
@@ -239,21 +236,37 @@ def test_every_field_is_one_flag(command):
 def test_every_flag_and_alias_resolves_to_its_field(command):
     argv = [
         command, "--problem", "burgers", "--model", "fs", "--obs", "loc1",
-        "--basis", "monomial", "--fs-mode", "shadow", "--n-qubits", "3", "--depth", "2",
+        "--fs-mode", "shadow", "--n-qubits", "3", "--depth", "2",
         "--epochs", "7", "--lr", "0.01", "--stop-loss", "1e-4", "--patience", "9",
-        "--seed", "5", "--ub-seed", "4", "--grid-m", "11", "--shadow-c0", "2.5",
+        "--seed", "5", "--grid-m", "11", "--shadow-c0", "2.5",
         "--shadow-eps", "0.5", "--shadow-exponent", "1", "--shadow-w-max", "2",
         "--out", "runs/x", "--chart",
     ]
     args = cli.build_parser().parse_args(argv)
     assert cli._resolve_config(args) == RunConfig(
         problem="burgers", variant="fs", n_qubits=3, depth=2, observables="loc1",
-        basis="monomial", fs_mode="shadow", epochs=7, lr=0.01, stop_loss=1e-4,
-        patience=9, seed=5, ub_seed=4, grid_m=11, shadow_c0=2.5, shadow_eps=0.5,
+        fs_mode="shadow", epochs=7, lr=0.01, stop_loss=1e-4,
+        patience=9, seed=5, grid_m=11, shadow_c0=2.5, shadow_eps=0.5,
         shadow_exponent=1, shadow_w_max=2, out_dir="runs/x", chart=True,
     )
     # --model's other spelling
     assert cli.build_parser().parse_args([command, "--variant", "original"]).variant == "original"
+
+
+@pytest.mark.parametrize("command", ["run", "count"])
+def test_the_fixed_basis_and_basis_change_are_not_options(command, tmp_path, capsys):
+    """The flipped model's Chebyshev basis and the TO basis change's seed are
+    fixed: their old flags and INI keys exit 2, and a key is named."""
+    for flag, value in (("--basis", "chebyshev"), ("--ub-seed", "2")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--problem", "damped_osc", flag, value)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+    for key, value in (("basis", "chebyshev"), ("ub_seed", "2")):
+        path = tmp_path / f"{key}.ini"
+        path.write_text(f"[run]\nproblem = damped_osc\n{key} = {value}\n")
+        assert run_cli(command, "--config", str(path)) == cli.EXIT_CONFIG
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
 
 
 def test_invalid_config_exit_code(tmp_path):
@@ -306,11 +319,10 @@ def test_invalid_config_exit_code(tmp_path):
     assert run_cli("count", *too_many) == cli.EXIT_CONFIG
     assert run_cli("run", "--problem", "damped_osc", "--variant", "original", "--grid-m", "1",
                    "--epochs", "1", "--out", str(tmp_path / "u")) == cli.EXIT_CONFIG
-    # numpy's generators refuse negative seeds; so does the configuration
-    for flag in (["--seed", "-1"], ["--ub-seed", "-1"]):
-        args = ("--problem", "damped_osc", "--variant", "to", *flag)
-        assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "s")) == cli.EXIT_CONFIG
-        assert run_cli("count", *args) == cli.EXIT_CONFIG
+    # numpy's generators refuse a negative seed; so does the configuration
+    args = ("--problem", "damped_osc", "--variant", "to", "--seed", "-1")
+    assert run_cli("run", *args, "--epochs", "1", "--out", str(tmp_path / "s")) == cli.EXIT_CONFIG
+    assert run_cli("count", *args) == cli.EXIT_CONFIG
     assert run_cli("selftest", "--seed", "-1") == cli.EXIT_CONFIG
     # a 2-local candidate set needs two qubits, and a configuration file has to
     # be readable; both were a traceback (exit 1) before
@@ -492,6 +504,15 @@ def test_a_percent_in_out_dir_round_trips_and_runs(tmp_path):
     assert (out / "trace.csv").read_bytes() == trace
 
 
+def test_to_inference_reads_large_weights(tmp_path):
+    """At lr 1e6 the TO weights reach about 1e7; inference reads the
+    weighted table all the same and the run writes every artifact."""
+    out = tmp_path / "large"
+    assert run_cli("run", "--problem", "damped_osc", "--variant", "to", "--lr", "1e6",
+                   "--epochs", "5", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.ini", "solution.csv", "summary.json", "trace.csv"]
+
+
 def test_compare_refuses_a_bad_configuration_before_training(tmp_path):
     out = tmp_path / "c"
     assert run_cli("compare", "--problem", "damped_osc", "--models", "original", "fs-bogus",
@@ -500,8 +521,8 @@ def test_compare_refuses_a_bad_configuration_before_training(tmp_path):
 
 
 def test_a_run_seeds_every_generator_from_its_config(tmp_path, monkeypatch):
-    """No fixed-seed generator hides in a run: every one is seeded by
-    ``seed`` or ``ub_seed``."""
+    """Every generator of a run is seeded by ``seed``, apart from the TO
+    basis change's, which is seeded by the constant ``models.UB_SEED``."""
     seeds = []
     default_rng = np.random.default_rng
 
@@ -512,5 +533,5 @@ def test_a_run_seeds_every_generator_from_its_config(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", recording)
     for flags in (["original"], ["to", "--obs", "loc1"], ["fs", "--fs-mode", "shadow"]):
         assert run_cli("run", "--problem", "damped_osc", "--variant", *flags, "--epochs", "2",
-                       "--seed", "5", "--ub-seed", "7", "--out", str(tmp_path / flags[0])) == 0
-    assert set(seeds) == {5, 7}
+                       "--seed", "5", "--out", str(tmp_path / flags[0])) == 0
+    assert set(seeds) == {5, models.UB_SEED}

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -27,8 +26,7 @@ EVAL_POINTS_1D = np.linspace(0.05, 0.95, 7)[:, None]
 # basis functions
 
 # The per-order basis the flipped model evaluated before its all-orders jet:
-# one recurrence (or closed form) per derivative order, one product per
-# column.  The jet is held to it bit for bit.
+# one recurrence per derivative order, one product per column.  The jet is held to it bit for bit.
 
 
 def reference_chebyshev(u, l_max, order):
@@ -56,38 +54,28 @@ def reference_chebyshev(u, l_max, order):
     return out
 
 
-def reference_monomial(u, l_max, order):
-    """u**l differentiated ``order`` times, for l = 0..l_max."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.zeros(u.shape + (l_max + 1,))
-    for l in range(order, l_max + 1):
-        out[..., l] = math.perm(l, order) * u ** (l - order)
-    return out
-
-
-def reference_basis_matrix(u, count, kind, dorders):
+def reference_basis_matrix(u, count, dorders):
     """The product basis at points ``u`` (shape (m, D)) with one derivative
     order per dimension, shape (m, count), stacked column by column."""
-    fn = {"chebyshev": reference_chebyshev, "monomial": reference_monomial}[kind]
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     dim = u.shape[1]
     indices = models.graded_multi_indices(dim, count)
     max_deg = max(max(ix) for ix in indices)
-    per_dim = [fn(u[:, d], max_deg, dorders[d]) for d in range(dim)]
+    per_dim = [reference_chebyshev(u[:, d], max_deg, dorders[d]) for d in range(dim)]
     cols = [np.prod([per_dim[d][:, ix[d]] for d in range(dim)], axis=0) for ix in indices]
     return np.stack(cols, axis=1)
 
 
-def jet_column(u, l_max, kind, order):
+def jet_column(u, l_max, order):
     """d^order/du^order of basis functions 0..l_max at the scalar ``u``,
     read off the jet."""
-    return models.basis_matrix(np.array([[u]]), l_max + 1, kind, order)[(order,)][0]
+    return models.basis_matrix(np.array([[u]]), l_max + 1, order)[(order,)][0]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-1.0, 1.0), st.integers(0, 8))
 def test_chebyshev_values_match_numpy(u, l_max):
-    ours = jet_column(u, l_max, "chebyshev", 0)
+    ours = jet_column(u, l_max, 0)
     for l in range(l_max + 1):
         coeffs = [0.0] * l + [1.0]
         assert ours[l] == pytest.approx(npcheb.chebval(u, coeffs), abs=1e-12)
@@ -96,7 +84,7 @@ def test_chebyshev_values_match_numpy(u, l_max):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-0.9, 0.9), st.integers(1, 3), st.integers(2, 7))
 def test_chebyshev_derivatives_match_numpy(u, order, l_max):
-    ours = jet_column(u, l_max, "chebyshev", order)
+    ours = jet_column(u, l_max, order)
     for l in range(l_max + 1):
         coeffs = np.zeros(l + 1)
         coeffs[l] = 1.0
@@ -104,11 +92,6 @@ def test_chebyshev_derivatives_match_numpy(u, order, l_max):
             0.0 if order >= 1 else 1.0
         )
         assert ours[l] == pytest.approx(expected, abs=1e-9)
-
-
-def test_monomial_basis_derivatives():
-    assert list(jet_column(2.0, 3, "monomial", 1)) == [0.0, 1.0, 4.0, 12.0]
-    assert list(jet_column(2.0, 3, "monomial", 2)) == [0.0, 0.0, 2.0, 12.0]
 
 
 def test_graded_multi_indices():
@@ -128,33 +111,27 @@ def test_graded_multi_indices():
 
 def test_basis_matrix_product_rule():
     pts = np.array([[0.3, 0.4]])
-    jet = models.basis_matrix(pts, 6, "monomial", 1)
+    jet = models.basis_matrix(pts, 6, 1)
     assert sorted(jet) == [(0, 0), (0, 1), (1, 0)]
-    # graded order: 1, x, y, x^2, xy, y^2
-    assert np.allclose(jet[0, 0][0], [1.0, 0.3, 0.4, 0.09, 0.12, 0.16])
-    assert np.allclose(jet[1, 0][0], [0.0, 1.0, 0.0, 0.6, 0.4, 0.0])
+    # graded order: T0, T1(x), T1(y), T2(x), T1(x) T1(y), T2(y), with T2(u) = 2u^2 - 1
+    assert np.allclose(jet[0, 0][0], [1.0, 0.3, 0.4, -0.82, 0.12, -0.68])
+    assert np.allclose(jet[1, 0][0], [0.0, 1.0, 0.0, 1.2, 0.4, 0.0])
 
 
 @pytest.mark.parametrize("max_order", [0, 1, 2, 3])
 @pytest.mark.parametrize("dim, count", [(1, 13), (1, 1), (2, 13), (2, 6)])
-@pytest.mark.parametrize("kind", ["chebyshev", "monomial"])
-def test_basis_jet_matches_the_per_order_reference(kind, dim, count, max_order):
+def test_basis_jet_matches_the_per_order_reference(dim, count, max_order):
     u = np.random.default_rng(dim * 10 + count).uniform(-1.5, 1.5, (21, dim))
-    jet = models.basis_matrix(u, count, kind, max_order)
+    jet = models.basis_matrix(u, count, max_order)
     orders = [o for o in itertools.product(range(max_order + 1), repeat=dim) if sum(o) <= max_order]
     assert sorted(jet) == sorted(orders)
     for o in orders:
-        reference = reference_basis_matrix(u, count, kind, o)
+        reference = reference_basis_matrix(u, count, o)
         assert jet[o].flags.c_contiguous
         assert jet[o].tobytes() == reference.tobytes(), o
         # a matrix-vector product sums each row as over the stacked reference
         weights = np.linspace(-1.0, 1.0, count)
         assert (jet[o] @ weights).tobytes() == (reference @ weights).tobytes(), o
-
-
-def test_basis_jet_rejects_an_unknown_kind():
-    with pytest.raises(ValueError):
-        models.basis_matrix(np.zeros((3, 1)), 4, "wavelets", 1)
 
 
 def reference_graded_multi_indices(dimension, count):
@@ -216,7 +193,7 @@ def test_mode_expectations_match_the_shift_rule_oracle(dimension, mode, param, o
 
 
 def test_mode_expectations_match_direct_simulation():
-    circuit = models.encoding_circuit(4, 1, ub_seed=2)
+    circuit = models.encoding_circuit(4, 1)
     enc = {0: circuit.gate_indices_for("x0")}
     strings = pauli.enumerate_k_local(4, 1)
     tables = pauli_tables([p.letters for p in strings])
@@ -745,8 +722,8 @@ def test_original_2d_uses_split_map():
 
 def test_to_table_matches_direct_simulation():
     strings = pauli.enumerate_k_local(4, 1)
-    table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4, ub_seed=2)
-    circuit = models.encoding_circuit(4, 1, ub_seed=2)
+    table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4)
+    circuit = models.encoding_circuit(4, 1)
     for i, x in enumerate(EVAL_POINTS_1D[:, 0]):
         state = circuits.run_batch(circuit, {"x0": float(x)}, 1)
         for j, p in enumerate(strings):
@@ -872,7 +849,7 @@ def test_to_model_unknown_mode_rejected():
 
 
 def test_flipped_jacobian_matches_finite_differences():
-    model = models.FlippedModel(4, 1, EVAL_POINTS_1D, basis="chebyshev", mode="exact")
+    model = models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="exact")
     rng = np.random.default_rng(2)
     params = model.init_params(rng)
     idx = np.arange(4)
@@ -1130,8 +1107,6 @@ def test_flipped_model_runs_on_three_dimensional_points():
 def test_flipped_rejects_unknown_modes():
     with pytest.raises(ValueError):
         models.FlippedModel(4, 1, EVAL_POINTS_1D, mode="fuzzy")
-    with pytest.raises(ValueError):
-        models.FlippedModel(4, 1, EVAL_POINTS_1D, basis="wavelets")
 
 
 def test_flipped_value_structure():

@@ -90,6 +90,24 @@ def test_hermitian_read_checks_every_group():
     with pytest.raises(AssertionError):
         pauli_expectation_batch(amps, (src, coef))
     pauli_expectation_batch(amps, (src, coef), bra)
+    # the tolerance follows each row's scale, and a large row is no exception
+    coef[group[len(group) // 2]] *= 1e8
+    with pytest.raises(AssertionError):
+        pauli_expectation_batch(amps, (src, coef))
+
+
+def test_hermitian_read_of_large_weighted_rows():
+    """Rows of large weights (a trained TO's alpha-weighted table) read
+    without complaint: the rounding in their imaginary part is far above
+    1e-10 but a tiny share of the row's scale.  Their values are the
+    weighted sums of the string reads."""
+    labels = [p.letters for p in pauli.all_strings(4)]
+    rng = np.random.default_rng(3)
+    weights = 1e7 * rng.normal(size=len(labels))
+    amps = _random_states(rng, 50, 4)
+    got = pauli_expectation_batch(amps, statevector.weighted_table(pauli_tables(labels), weights))
+    reference = _per_string(amps, labels) @ weights
+    assert np.allclose(got.sum(axis=1), reference, rtol=1e-12, atol=1e-12 * np.abs(weights).sum())
 
 
 @pytest.mark.parametrize("batch", [66, 420, 1600])
