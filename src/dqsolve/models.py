@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, pauli, shadows
-from .circuits import CircuitSpec, GateSpec, run_batch
+from .circuits import CircuitSpec, run_batch
 from .statevector import (
     ConfigurationError,
     pauli_batch,
@@ -201,7 +201,7 @@ def diagonal_table(observable) -> tuple[np.ndarray, np.ndarray]:
 def adjoint_gradients(circuit, bindings, amps, lam, gate_indices):
     """One backward sweep from final states ``amps`` and co-states ``lam``.
 
-    Returns G[k, r] = 2 Re(-i/2 <lam_r|P_k amps_r>) * scale_k for each listed
+    Returns G[k, r] = Im <lam_r|P_k amps_r> * scale_k for each listed
     rotation gate k (generator P_k) and row r, shape (len(gate_indices),
     rows), read with both stacks swept back to just after gate k.  With lam =
     C|a> this is d<a|C|a>/d(angle_k), exactly what the parameter-shift rule
@@ -224,8 +224,9 @@ def adjoint_gradients(circuit, bindings, amps, lam, gate_indices):
         if k is not None:
             generated = pauli_batch(states, n, gate.qubits[0], gate.kind[1])
             inner = np.einsum("bi,bi->b", np.conj(costates), generated)
-            # dU/dtheta U^dag = -i/2 * scale * P on the target qubit
-            grads[k] = 2.0 * np.real(-0.5j * inner) * gate.scale
+            # dU/dtheta U^dag = -i/2 * scale * P on the target qubit, and
+            # 2 Re(-i/2 z) = Im z
+            grads[k] = inner.imag * gate.scale
         if i > first:
             circuits.unapply_gate_to_batch(stack, n, gate, bindings)
     return grads
@@ -292,18 +293,19 @@ def prefix_jets(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, de
     return derived
 
 
-def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, derived=None) -> np.ndarray:
-    """The states U * d^J phi for every jet J of ``jets``, stacked jet-major:
-    rows j*batch .. (j+1)*batch - 1 hold ``jets[j]``.  Shape (len(jets)*batch, 2**n).
+def jet_states(circuit: CircuitSpec, enc_by_dim, bindings, batch: int, jets, derived=None) -> dict:
+    """The states U * d^J phi for every jet J of ``jets``, keyed by jet in the
+    order given; each is a (batch, 2**n) view of one stacked run.
 
     U is the circuit after its input-bound prefix; the prefix jets come from
     ``prefix_jets``, which also takes ``derived``.
     """
+    jets = [tuple(jet) for jet in jets]
     derived = prefix_jets(circuit, enc_by_dim, bindings, batch, jets, derived)
-    amps = np.concatenate([derived[tuple(jet)] for jet in jets])
+    amps = np.concatenate([derived[jet] for jet in jets])
     for gate in circuit.gates[_encoder_length(circuit) :]:
         circuits.apply_gate_to_batch(amps, circuit.n_qubits, gate, bindings)
-    return amps
+    return {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
 
 
 def jet_terms(mode: tuple[int, ...]) -> list:
@@ -355,17 +357,14 @@ def mode_expectations(
     strings (the trainable observable's labels), a ``diagonal_table`` (the
     original model's cost operator) or a ``weighted_table`` (the trainable
     observable at its alpha).  Exact jets compute every value:
-    the ``term_jets`` of the mode run as one stacked batch (``jet_states``),
-    and ``read_jet_terms`` reads all d rows in one ``pauli_expectation_batch``
-    call per term, one partner gather per X-pattern.
-    ``shift_rule`` only sets what the protocol is charged for them.
+    the ``term_jets`` of the mode run as one stacked batch and come back by
+    jet (``jet_states``), and ``read_jet_terms`` reads all d rows in one
+    ``pauli_expectation_batch`` call per term, one partner gather per
+    X-pattern.  ``shift_rule`` only sets what the protocol is charged for them.
 
     Returns shape (d, batch).
     """
-    jets = term_jets(mode)
-    amps = jet_states(circuit, enc_by_dim, bindings, batch, jets)
-    rows = {jet: amps[j * batch : (j + 1) * batch] for j, jet in enumerate(jets)}
-    return read_jet_terms(rows, mode, tables)
+    return read_jet_terms(jet_states(circuit, enc_by_dim, bindings, batch, term_jets(mode)), mode, tables)
 
 
 def runs_per_point(enc_by_dim: dict[int, list[int]], mode: tuple[int, ...]) -> int:
@@ -501,9 +500,7 @@ class RowForm:
             model = self.model
             n_pts = model.eval_points.shape[0]
             bindings = model._bindings(model.eval_points, theta)
-            amps = jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, self._phi)
-            for j, jet in enumerate(missing):
-                self._jets[jet] = amps[j * n_pts : (j + 1) * n_pts]
+            self._jets.update(jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, missing, self._phi))
         return self._jets
 
     def raw(self, theta, idx, mode):
@@ -543,28 +540,23 @@ class ProbeForm:
     |+i>}**n.  So the derivative is F[x] @ o, exactly, with o_s = <s|O|s> and
     F fixed by the points: built once per model and mode in closed form from
     the qubits' angles, with no simulation (``features``, ``probe_features``).
-    Per parameter vector, one run of the probe states and one adjoint sweep
-    over them give o and do/dtheta: 3**n simulated rows, whatever the number
-    of points.
+    Per parameter vector, one run of the model's own circuit and one adjoint
+    sweep over it give o and do/dtheta: every input is bound to 0 and each
+    qubit's one feature-map RX is shifted to that qubit's probe angle, 3**n
+    simulated rows whatever the number of points.
     """
 
     def __init__(self, model):
         self.model = model
-        n = model.n_qubits
-        length = _encoder_length(model.circuit)
-        self._names = tuple(f"probe{q}" for q in range(n))
-        layer = tuple(GateSpec("RX", (q,), param=name) for q, name in enumerate(self._names))
-        # the probe layer in place of the feature map, then the ansatz
-        self.circuit = CircuitSpec(
-            n,
-            layer + model.circuit.gates[length:],
-            input_params=frozenset(self._names),
-            variational_params=model.circuit.variational_params,
-        )
-        self.gate_indices = [g - length + n for g in model.gate_indices]
-        # the probe-layer angles of every probe state, one row per state
-        angles = np.array(list(itertools.product(_PROBE_ANGLES, repeat=n)))
-        self._probe_bindings = dict(zip(self._names, angles.T))
+        circuit = model.circuit
+        prefix = circuit.gates[: _encoder_length(circuit)]
+        # a second gate on a qubit would be shifted twice
+        if sorted(gate.qubits[0] for gate in prefix) != list(range(circuit.n_qubits)):
+            raise ConfigurationError("the probe form needs one feature-map gate on every qubit")
+        # the probe angles of every probe state, one row per state
+        angles = np.array(list(itertools.product(_PROBE_ANGLES, repeat=circuit.n_qubits)))
+        self._shifts = {g: angles[:, gate.qubits[0]] for g, gate in enumerate(prefix)}
+        self._inputs = dict.fromkeys(circuit.input_params, 0.0)
         self._features: dict = {}
         # the rotation angles o and do/dtheta were read at, and the two
         self._key = None
@@ -586,12 +578,13 @@ class ProbeForm:
         key = np.asarray(theta, dtype=np.float64).tobytes()
         if key != self._key:
             model = self.model
-            bindings = dict(self._probe_bindings)
+            bindings = dict(self._inputs)
             bindings.update(zip(model.rotation_params, theta))
-            amps = run_batch(self.circuit, bindings, 3**model.n_qubits)
+            amps = run_batch(model.circuit, bindings, 3**model.n_qubits, shifts=self._shifts)
             o = pauli_expectation_batch(amps, model.cost)[:, 0]
             lam = model.cost[1] * amps
-            grads = adjoint_gradients(self.circuit, bindings, amps, lam, self.gate_indices)
+            # the sweep stops at the first rotation, so no shifted gate is unapplied
+            grads = adjoint_gradients(model.circuit, bindings, amps, lam, model.gate_indices)
             self._key, self._heisenberg = key, (o, grads)
         return self._heisenberg
 
@@ -613,7 +606,8 @@ class OriginalModel:
     points m.  The simulator computes the input derivatives at the fixed
     evaluation points exactly instead, in one of two forms chosen by size
     (``probe_form_fits``): the probe form reads U^dag C U on 3**n probe
-    states against feature matrices built in closed form once per model, so
+    states, prepared by this circuit's feature map at x = 0 with shifted
+    angles, against feature matrices built in closed form once per model, so
     its simulated rows per parameter vector are 3**n, flat in m
     (``ProbeForm``); the row form runs the feature map once per model and
     then the ansatz on every jet at every point (``RowForm``).

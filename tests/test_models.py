@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -428,8 +429,8 @@ def test_original_jacobian_runs_each_shift_configuration_once(run_batch_rows, di
     """The accountant charges each of the mode's ``runs`` shift configurations once
     per point and rotation shift pair; the row form (5 points) runs the feature
     map once per model and then the mode's jets at every point, the probe form
-    (30 points) runs no feature map and the 3**4 probe states per parameter
-    vector."""
+    (30 points) runs the 3**4 probe states per parameter vector, its feature-map
+    gates at x = 0 shifted to the probe angles, never at the points."""
     for n_pts, form, once, rows in [(5, models.RowForm, [5], []), (30, models.ProbeForm, [], [81])]:
         run_batch_rows["runs"].clear()
         counter = EvalCounter()
@@ -546,6 +547,17 @@ def test_probe_features_match_the_simulated_feature_map(n_qubits, dimension):
             assert np.array_equal(alone[0], feats[4]), mode
 
 
+@pytest.mark.parametrize("qubits", [(0, 1, 2, 0), (0, 2)])
+def test_probe_form_needs_one_feature_map_gate_on_every_qubit(qubits):
+    """A second gate on a qubit would be shifted twice, a qubit with none would
+    never reach its probe states."""
+    gates = tuple(circuits.GateSpec("RX", (q,), param="x0", scale=1.0 + q) for q in qubits)
+    feature_map = circuits.CircuitSpec(3, gates, input_params=frozenset({"x0"}))
+    model = types.SimpleNamespace(circuit=circuits.compose(feature_map, circuits.hea(3, 1)))
+    with pytest.raises(ConfigurationError, match="one feature-map gate on every qubit"):
+        models.ProbeForm(model)
+
+
 def test_probe_features_refuse_a_third_order_mode():
     model = models.OriginalModel(2, 1, EVAL_POINTS_1D)
     with pytest.raises(ConfigurationError, match="above second order"):
@@ -562,7 +574,7 @@ def _forms_case(problem_name, n_qubits):
     return problem, model, params[:-2], idx
 
 
-FORM_CASES = [(name, n) for name in problems.PROBLEMS for n in (2, 3, 4)
+FORM_CASES = [(name, n) for name in problems.PROBLEMS for n in (2, 3, 4, 6)
               if name != "twod_linear" or n % 2 == 0]
 
 
@@ -615,11 +627,8 @@ def test_read_jet_terms_on_the_cost_is_the_row_form_sum(problem_name):
     dims = range(problem.dimension)
     modes = set(problem.all_modes) | {(d,) for d in dims} | set(itertools.product(dims, repeat=2))
     for mode in sorted(modes, key=lambda t: (len(t), t)):
-        jets = models.term_jets(mode)
-        amps = models.jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, jets)
-        lam = model.cost[1] * amps
-        rows = {jet: amps[j * n_pts : (j + 1) * n_pts] for j, jet in enumerate(jets)}
-        costates = {jet: lam[j * n_pts : (j + 1) * n_pts] for j, jet in enumerate(jets)}
+        rows = models.jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, models.term_jets(mode))
+        costates = {jet: model.cost[1] * states for jet, states in rows.items()}
         expected = sum(
             w * np.einsum("bi,bi->b", np.conj(rows[u]), costates[v]).real
             for w, u, v in models.jet_terms(mode)
@@ -627,6 +636,24 @@ def test_read_jet_terms_on_the_cost_is_the_row_form_sum(problem_name):
         got = models.read_jet_terms(rows, mode, model.cost)
         assert got.shape == (1, n_pts)
         assert np.array_equal(got[0], expected), mode
+
+
+def test_jet_states_come_back_by_jet_as_views_of_one_run():
+    """One key per requested jet, in order, each a (batch, 2**n) view of one
+    stacked run and equal, bit for bit, to a run of that jet alone."""
+    problem = problems.stationary_burgers(6)
+    model = models.OriginalModel(5, 2, problem.eval_points)
+    theta = model.init_params(np.random.default_rng(8))[:-2]
+    n_pts = len(model.eval_points)
+    bindings = model._bindings(model.eval_points, theta)
+    jets = [(0, 0), (), (0,)]
+    states = models.jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, jets)
+    assert list(states) == jets
+    assert len({id(rows.base) for rows in states.values()}) == 1
+    for jet, rows in states.items():
+        assert rows.shape == (n_pts, 2**5) and rows.base is not None, jet
+        alone = models.jet_states(model.circuit, model.enc_by_dim, bindings, n_pts, [jet])
+        assert np.array_equal(rows, alone[jet]), jet
 
 
 def test_row_form_keeps_one_state_array_per_jet():
