@@ -8,7 +8,6 @@ by the parameter-shift machinery; shifts are never stored in the circuit).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,43 +174,3 @@ def compose(*circuits: CircuitSpec) -> CircuitSpec:
                 variational.append(p)
     return CircuitSpec(n, tuple(gates), frozenset(inputs), tuple(variational))
 
-
-def circuit_to_json(circuit: CircuitSpec) -> str:
-    doc = {
-        "n_qubits": circuit.n_qubits,
-        "input_params": sorted(circuit.input_params),
-        "variational_params": list(circuit.variational_params),
-        "gates": [
-            {
-                "kind": g.kind,
-                "qubits": list(g.qubits),
-                "param": g.param,
-                "scale": g.scale,
-                "const": g.const,
-            }
-            for g in circuit.gates
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def circuit_from_json(text: str) -> CircuitSpec:
-    """Inverse of ``circuit_to_json``.  Older files give every gate a
-    ``"matrix": null`` key; it is ignored."""
-    doc = json.loads(text)
-    gates = tuple(
-        GateSpec(
-            kind=g["kind"],
-            qubits=tuple(g["qubits"]),
-            param=g["param"],
-            scale=g["scale"],
-            const=g["const"],
-        )
-        for g in doc["gates"]
-    )
-    return CircuitSpec(
-        doc["n_qubits"],
-        gates,
-        frozenset(doc["input_params"]),
-        tuple(doc["variational_params"]),
-    )

@@ -208,16 +208,24 @@ def make_out_dir(path) -> Path:
     return out
 
 
+def write_artifact(path: Path, text: str) -> None:
+    """Write one artifact; a file that cannot be written is a configuration error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_run_artifacts(config: RunConfig, problem, trial_models, trace, counter) -> Path:
     out = make_out_dir(config.out_dir)
-    (out / "trace.csv").write_text(trace_csv(trace))
-    (out / "solution.csv").write_text(solution_csv(problem, trial_models, trace))
-    (out / "summary.json").write_text(
-        json.dumps(summary_doc(config, problem, trace, counter), indent=2) + "\n"
+    write_artifact(out / "trace.csv", trace_csv(trace))
+    write_artifact(out / "solution.csv", solution_csv(problem, trial_models, trace))
+    write_artifact(
+        out / "summary.json", json.dumps(summary_doc(config, problem, trace, counter), indent=2) + "\n"
     )
-    (out / "config.ini").write_text(config_to_text(config))
+    write_artifact(out / "config.ini", config_to_text(config))
     if config.chart:
-        (out / "chart.svg").write_text(loss_chart_svg(trace))
+        write_artifact(out / "chart.svg", loss_chart_svg(trace))
     return out
 
 
@@ -294,7 +302,7 @@ def cmd_compare(args) -> int:
             d_max = max(d_max, trial_models[0].table.n_observables)
         print(f"{spec}: epochs={len(trace.records)} loss={final.loss:.3e} "
               f"mos={final.mos:.3e} evals={counter.total}")
-    (out / "merged.csv").write_text("\n".join(merged) + "\n")
+    write_artifact(out / "merged.csv", "\n".join(merged) + "\n")
     report = [f"problem: {args.problem}", f"seed: {args.seed}"]
     if d_max:
         report.append(f"d_max (largest trainable-observable candidate set): {d_max}")
@@ -303,7 +311,7 @@ def cmd_compare(args) -> int:
         ratio = totals[baseline] / max(1, totals[spec])
         report.append(f"saving ratio {baseline}/{spec}: {ratio:.2f}")
         print(report[-1])
-    (out / "report.txt").write_text("\n".join(report) + "\n")
+    write_artifact(out / "report.txt", "\n".join(report) + "\n")
     return EXIT_OK
 
 

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,9 +410,7 @@ _PROBE_MAP = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 2.0], [1.0, -1.0, 0.0]]) / 
 # at most this many rows per point, up to this register size; beyond it, its
 # 6**n-amplitude probe stack and points x 3**n features cost more time and
 # memory than the row form at the sizes measured (BENCH_original_probe.json).
-# Those sizes were measured while the features were read off simulated
-# feature-map jets; ``probe_features`` builds them far more cheaply, so the
-# crossover is due to be measured again.
+# ROADMAP item 6 holds the re-measured crossover and the open rule change.
 _PROBE_ROWS_PER_POINT = 4
 _PROBE_MAX_QUBITS = 6
 
@@ -688,21 +685,17 @@ class OriginalModel:
 @dataclass(frozen=True)
 class TOTable:
     """Input-derivative expectations of every candidate observable on a fixed
-    point set; immutable once built, reusable across training runs.
+    point set; immutable once built.
 
-    Off-table inference reads ``labels`` through their ``tables``."""
+    Off-table inference runs ``circuit`` and reads ``labels`` through their
+    ``tables``."""
 
     points: np.ndarray                    # (n_pts, D)
     modes: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]               # Pauli strings in canonical order
     entries: dict                         # mode -> (n_pts, d) array
-    provenance: dict = field(default_factory=dict)
-
-    @functools.cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``pauli_tables`` of ``labels``; built on first use, unless
-        ``precompute_to_table`` handed over the pair it measured with."""
-        return pauli_tables(self.labels)
+    circuit: CircuitSpec                  # the encoding circuit measured on
+    tables: tuple[np.ndarray, np.ndarray]  # the ``pauli_tables`` of ``labels``
 
     @property
     def n_observables(self) -> int:
@@ -746,47 +739,13 @@ def precompute_to_table(
         table = mode_expectations(circuit, bindings, points.shape[0], enc, mode, tables)
         entries[mode] = table.T.copy()  # (n_pts, d)
     _charge(counter, to_charge(len(labels), points.shape[0], enc, modes), PHASE_PRECOMPUTE)
-    to_table = TOTable(
+    return TOTable(
         points=points,
         modes=tuple(tuple(m) for m in modes),
         labels=labels,
         entries=entries,
-        provenance={
-            "n_qubits": n_qubits,
-            "dimension": dimension,
-            "ub_seed": UB_SEED,
-            "circuit": json.loads(circuits.circuit_to_json(circuit)),
-        },
-    )
-    vars(to_table)["tables"] = tables  # seeds the cached property
-    return to_table
-
-
-def save_to_table(table: TOTable, path) -> None:
-    arrays = {f"mode_{'_'.join(map(str, m)) or 'value'}": table.entries[m] for m in table.modes}
-    header = json.dumps(
-        {
-            "modes": [list(m) for m in table.modes],
-            "labels": list(table.labels),
-            "provenance": table.provenance,
-        }
-    )
-    np.savez(path, points=table.points, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
-
-
-def load_to_table(path) -> TOTable:
-    data = np.load(path, allow_pickle=False)
-    header = json.loads(bytes(data["header"]).decode())
-    modes = tuple(tuple(m) for m in header["modes"])
-    entries = {
-        m: data[f"mode_{'_'.join(map(str, m)) or 'value'}"] for m in modes
-    }
-    return TOTable(
-        points=data["points"],
-        modes=modes,
-        labels=tuple(header["labels"]),
-        entries=entries,
-        provenance=header["provenance"],
+        circuit=circuit,
+        tables=tables,
     )
 
 
@@ -835,8 +794,7 @@ class TOModel:
         configuration, as the protocol measures every string.  The simulator
         reads sum alpha_l P_l as its ``weighted_table``, one row per X-pattern."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        prov = self.table.provenance
-        circuit = circuits.circuit_from_json(json.dumps(prov["circuit"]))
+        circuit = self.table.circuit
         enc = _enc_by_dim(circuit, self.dimension)
         alpha, a_s = params[:-1], params[-1]
         rows = mode_expectations(

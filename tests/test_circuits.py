@@ -1,4 +1,4 @@
-"""Circuit construction, execution and serialization."""
+"""Circuit construction and execution."""
 
 import numpy as np
 import pytest
@@ -145,16 +145,6 @@ def test_unknown_gate_kind_rejected(kind):
     # rotations and CNOT are the only kinds a circuit builder emits
     with pytest.raises(ConfigurationError):
         circuits.GateSpec(kind, (0,))
-
-
-def test_json_round_trip():
-    circuit = circuits.compose(
-        circuits.split_tower_feature_map(4, ("x0", "x1")),
-        circuits.hea(4, 2),
-        circuits.random_basis_unitary(4, seed=2),
-    )
-    clone = circuits.circuit_from_json(circuits.circuit_to_json(circuit))
-    assert clone == circuit
 
 
 @settings(max_examples=20, deadline=None)

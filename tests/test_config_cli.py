@@ -362,6 +362,20 @@ def test_an_unusable_out_dir_is_refused_before_training(tmp_path, capsys, monkey
     assert trained == []
 
 
+@pytest.mark.parametrize("blocked, argv", [
+    ("trace.csv", ("run", "--problem", "damped_osc", "--variant", "to", "--obs", "loc1")),
+    ("to-loc1/trace.csv", ("compare", "--problem", "damped_osc", "--models", "original", "to-loc1")),
+    ("merged.csv", ("compare", "--problem", "damped_osc", "--models", "original", "to-loc1")),
+], ids=["run", "compare-member", "compare-merged"])
+def test_an_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, blocked, argv):
+    """A directory where an artifact goes is found only after training."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert run_cli(*argv, "--epochs", "2", "--out", str(out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ") and blocked in err
+
+
 def test_a_run_too_large_for_memory_exits_2(tmp_path):
     """A run whose arrays do not fit ends as a configuration error, not a
     traceback.  The address-space limit is set in the child process only."""

@@ -1,7 +1,6 @@
 """The three trial-function families: values, Jacobians, charges, tables."""
 
 import itertools
-import json
 import tracemalloc
 import types
 
@@ -385,19 +384,14 @@ def run_batch_shifts(monkeypatch):
 
 
 @pytest.mark.parametrize("dimension, modes", [(1, [(), (0,), (0, 0)]), (2, [(), (1,)])])
-def test_input_derivatives_never_run_a_shifted_circuit(run_batch_shifts, tmp_path, dimension, modes):
+def test_input_derivatives_never_run_a_shifted_circuit(run_batch_shifts, dimension, modes):
     """The parameter-shift rule only sets the charge: the TO table and the
-    inference of both circuit models, a table read back from disk included,
-    compute every input derivative from exact jets."""
+    inference of both circuit models compute every input derivative from
+    exact jets."""
     rng = np.random.default_rng(7)
     points, dense = rng.uniform(0.0, 1.0, (4, dimension)), rng.uniform(0.0, 1.0, (3, dimension))
     table = models.precompute_to_table(points, modes, pauli.enumerate_k_local(4, 1), 4)
-    path = tmp_path / "table.npz"
-    models.save_to_table(table, path)
-    trial_models = [
-        models.TOModel(table), models.TOModel(models.load_to_table(path)),
-        models.OriginalModel(4, 1, points),
-    ]
+    trial_models = [models.TOModel(table), models.OriginalModel(4, 1, points)]
     for mode in modes:
         for model in trial_models:
             model.values_at(model.init_params(rng), dense, mode)
@@ -795,6 +789,7 @@ def test_to_model_jacobian_allocates_only_its_result():
     table = models.TOTable(
         points=np.linspace(0.0, 1.0, n_pts)[:, None], modes=((),),
         labels=tuple(f"s{j}" for j in range(d)), entries={(): rng.normal(size=(n_pts, d))},
+        circuit=None, tables=None,
     )
     model = models.TOModel(table)
     params = model.init_params(rng)
@@ -826,40 +821,6 @@ def test_to_model_off_table_inference_charges():
     again = model.values_at(params, EVAL_POINTS_1D[:1], ())
     assert again[0] == pytest.approx(on_table[0], abs=1e-12)
     assert vals.shape == (3,)
-
-
-def test_to_table_save_load_round_trip(tmp_path):
-    strings = pauli.enumerate_k_local(4, 2)
-    table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4)
-    path = tmp_path / "table.npz"
-    models.save_to_table(table, path)
-    clone = models.load_to_table(path)
-    assert clone.labels == table.labels
-    assert clone.modes == table.modes
-    assert np.array_equal(clone.points, table.points)
-    for mode in table.modes:
-        assert np.array_equal(clone.entries[mode], table.entries[mode])
-    assert clone.provenance["ub_seed"] == table.provenance["ub_seed"]
-
-
-def test_to_table_with_matrix_keys_loads(tmp_path):
-    # tables written before the fixed-matrix gate kinds were removed give every
-    # provenance gate a "matrix": null key; they load and infer bit for bit
-    strings = pauli.enumerate_k_local(4, 2)
-    table = models.precompute_to_table(EVAL_POINTS_1D, [(), (0,)], strings, 4)
-    provenance = json.loads(json.dumps(table.provenance))
-    for gate in provenance["circuit"]["gates"]:
-        gate["matrix"] = None
-    header = json.dumps({"modes": [[], [0]], "labels": list(table.labels), "provenance": provenance})
-    path = tmp_path / "old_table.npz"
-    np.savez(path, points=table.points, header=np.frombuffer(header.encode(), dtype=np.uint8),
-             mode_value=table.entries[()], mode_0=table.entries[(0,)])
-    old, fresh = models.TOModel(models.load_to_table(path)), models.TOModel(table)
-    params, idx = fresh.init_params(np.random.default_rng(4)), np.arange(len(EVAL_POINTS_1D))
-    dense = np.linspace(0.0, 1.0, 11)[:, None]
-    for mode in [(), (0,)]:
-        assert np.array_equal(old.values(params, idx, mode), fresh.values(params, idx, mode))
-        assert np.array_equal(old.values_at(params, dense, mode), fresh.values_at(params, dense, mode))
 
 
 def test_to_model_unknown_mode_rejected():

@@ -1,12 +1,11 @@
 """The stacked Pauli readout against the per-string loop it replaces."""
 
-import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dqsolve import circuits, models, pauli, problems, statevector
+from dqsolve import models, pauli, problems, statevector
 from dqsolve.statevector import pauli_expectation_batch, pauli_tables
 from dqsolve.training import EvalCounter
 
@@ -253,7 +252,7 @@ def action_calls(monkeypatch):
     return calls
 
 
-def test_pauli_tables_built_once_per_table(action_calls, tmp_path):
+def test_pauli_tables_built_once_per_table(action_calls):
     strings = pauli.enumerate_k_local(4, 2)
     d = len(strings)
     table = models.precompute_to_table(POINTS, MODES, strings, 4)
@@ -265,16 +264,11 @@ def test_pauli_tables_built_once_per_table(action_calls, tmp_path):
     model.values_at(params, dense, mode=(0,))
     assert len(action_calls) == d
 
-    # a table read back from disk builds its tables on first use, once,
-    # however many models share it
-    path = tmp_path / "table.npz"
-    models.save_to_table(table, path)
-    loaded = models.load_to_table(path)
-    assert len(action_calls) == d
-    first, second = models.TOModel(loaded), models.TOModel(loaded)
+    # however many models share the table, none builds its tables again
+    first, second = models.TOModel(table), models.TOModel(table)
     assert np.array_equal(first.values_at(params, dense), model.values_at(params, dense))
     second.values_at(params, dense)
-    assert len(action_calls) == 2 * d
+    assert len(action_calls) == d
 
 
 _DENSE_LETTERS = {
@@ -353,7 +347,7 @@ def _to_model(n, strings, points, modes):
 
 def _per_string_inference(model, params, points, mode):
     """The read the contraction replaces: every string's jet, then a_s * (rows @ alpha)."""
-    circuit = circuits.circuit_from_json(json.dumps(model.table.provenance["circuit"]))
+    circuit = models.encoding_circuit(len(model.table.labels[0]), model.dimension)
     enc = models._enc_by_dim(circuit, model.dimension)
     rows = models.mode_expectations(
         circuit, models._input_bindings(points), len(points), enc, tuple(mode), model.table.tables
